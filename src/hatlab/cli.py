@@ -443,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact/Monte-Carlo combinatorics of hat games and independent sets.",
     )
     parser.add_argument("--out", help="write records to this path instead of stdout")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on internal parallelism; outputs are identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a graph in the text format")

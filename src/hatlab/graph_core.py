@@ -132,11 +132,6 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def empty_graph() -> Graph:
-    """The 0-vertex sentinel; alpha of it is defined as 0."""
-    return Graph(0, ())
-
-
 def graph_fingerprint(G: Graph) -> str:
     """Short stable digest of the adjacency structure, for result records."""
     h = hashlib.sha256()

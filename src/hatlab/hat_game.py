@@ -14,12 +14,18 @@ Conventions:
   flattened the same way over the remaining players in increasing order.
 * All exact values are Fractions with power-of-two denominators; no floats
   on exact paths.
+
+Every best response, and every value coordinate ascent reports, comes from
+one per-view evaluator (``_others_correct``).  ``winning_set_of_strategy``
+is the independent whole-strategy scorer: ``nested_lower_bound`` re-scores
+its witness with it, so a reported bound never rests on the evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -153,27 +159,81 @@ def view_index(coords: Sequence[int], i: int, N: int) -> int:
     return idx
 
 
-def _winning_count(family: WinningFamily, s: Strategy) -> int:
-    """Number of winning tuples, streamed without materializing the mask."""
+@lru_cache(maxsize=None)
+def _view_shape(family: WinningFamily, t: int, i: int) -> tuple[tuple, tuple]:
+    """Index work behind ``_others_correct`` for player i of the t-player game.
+
+    Returns the guesses whose set contains each point and, per other player
+    j: the stride of x_i in j's view; per context c (the points of the
+    players other than i and j), j's view at x_i = 0; and per view of player
+    i, the pair (c, x_j) it fixes.
+    """
     N = 1 << family.n
-    t = s.t
-    total = N**t
-    count = 0
-    coords = [0] * t
-    for flat in range(total):
-        f = flat
-        for j in range(t - 1, -1, -1):
-            coords[j] = f % N
-            f //= N
-        ok = True
-        for i in range(t):
-            g = s.tables[i][view_index(coords, i, N)]
-            if not (family.sets[g] >> coords[i]) & 1:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    containing = tuple(r_v_distribution(family, x) for x in range(N))
+    others = []
+    for j in range(t):
+        if j == i:
+            continue
+        p = j - (j > i)  # j's position in player i's view
+        bases = [0] * N ** (t - 2)
+        where = []
+        for rest in iter_product(range(N), repeat=t - 1):
+            c = view_index(rest, p, N)
+            bases[c] = view_index([*rest[:i], 0, *rest[i:]], j, N)
+            where.append((c, rest[p]))
+        others.append((j, N ** (t - 1 - i - (j > i)), tuple(bases), tuple(where)))
+    return containing, tuple(others)
+
+
+def _others_correct(
+    family: WinningFamily, tables: Sequence[Sequence[int]], i: int
+) -> list[int]:
+    """Per view of player i, the N-bit mask of her points x_i at which every
+    other player guesses right.  ``tables[i]`` is not read.
+
+    For each other player j, the preimages of j's guesses along x_i are
+    OR-ed over the guesses whose set contains x_j; the results are AND-ed
+    over j.
+    """
+    N = 1 << family.n
+    t = len(tables)
+    containing, others = _view_shape(family, t, i)
+    ok = [(1 << N) - 1] * N ** (t - 1)
+    for j, stride, bases, where in others:
+        table = tables[j]
+        preimages = []
+        for base in bases:
+            pre = [0] * family.r
+            for x_i, g in enumerate(table[base : base + N * stride : stride]):
+                pre[g] |= 1 << x_i
+            preimages.append(pre)
+        for v, (c, x_j) in enumerate(where):
+            pre = preimages[c]
+            union = 0
+            for g in containing[x_j]:
+                union |= pre[g]
+            ok[v] &= union
+    return ok
+
+
+def _best_guesses(family: WinningFamily, masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Per mask, the least-index guess whose set covers most of it, and the
+    summed cover: the number of winning tuples the guesses give."""
+    sets = family.sets
+    rest = range(1, family.r)
+    table = []
+    total = 0
+    for mask in masks:
+        best_g = 0
+        best_c = (sets[0] & mask).bit_count()
+        for g in rest:
+            c = (sets[g] & mask).bit_count()
+            if c > best_c:
+                best_g = g
+                best_c = c
+        table.append(best_g)
+        total += best_c
+    return tuple(table), total
 
 
 def winning_set_of_strategy(
@@ -259,30 +319,10 @@ def best_response(
     the least index.
     """
     N = 1 << family.n
-    r = family.r
     if len(g2_table) != N:
         raise ValueError("player-1 table must cover all of B")
-    V = [0] * r
-    for x1, g in enumerate(g2_table):
-        V[g] |= 1 << x1
-    sets = family.sets
-    total = 0
-    table0 = []
-    for x2 in range(N):
-        U = 0
-        for i in range(r):
-            if (sets[i] >> x2) & 1:
-                U |= V[i]
-        best_j = 0
-        best_c = (sets[0] & U).bit_count()
-        for j in range(1, r):
-            c = (sets[j] & U).bit_count()
-            if c > best_c:
-                best_c = c
-                best_j = j
-        table0.append(best_j)
-        total += best_c
-    return tuple(table0), Fraction(total, N * N)
+    table0, count = _best_guesses(family, _others_correct(family, ((), g2_table), 0))
+    return table0, Fraction(count, N * N)
 
 
 def exact_value_two_players(
@@ -323,53 +363,6 @@ def exact_value_two_players(
 # ---------------------------------------------------------------------------
 
 
-def _best_response_table(
-    family: WinningFamily, t: int, tables: list[tuple[int, ...]], i: int
-) -> tuple[int, ...]:
-    """Exact best response for player i holding the other tables fixed."""
-    N = 1 << family.n
-    r = family.r
-    sets = family.sets
-    views = N ** (t - 1)
-    new_table = []
-    coords = [0] * t
-    for view in range(views):
-        f = view
-        others = [0] * (t - 1)
-        for j in range(t - 2, -1, -1):
-            others[j] = f % N
-            f //= N
-        # mask over x_i of "every other player guesses correctly"
-        ok_mask = 0
-        for x_i in range(N):
-            pos = 0
-            for j in range(t):
-                if j == i:
-                    coords[j] = x_i
-                else:
-                    coords[j] = others[pos]
-                    pos += 1
-            ok = True
-            for j in range(t):
-                if j == i:
-                    continue
-                g = tables[j][view_index(coords, j, N)]
-                if not (sets[g] >> coords[j]) & 1:
-                    ok = False
-                    break
-            if ok:
-                ok_mask |= 1 << x_i
-        best_j = 0
-        best_c = (sets[0] & ok_mask).bit_count()
-        for j in range(1, r):
-            c = (sets[j] & ok_mask).bit_count()
-            if c > best_c:
-                best_c = c
-                best_j = j
-        new_table.append(best_j)
-    return tuple(new_table)
-
-
 def coordinate_ascent(
     family: WinningFamily, t: int, tables: Sequence[Sequence[int]], max_sweeps: int = 64
 ) -> tuple[Strategy, list[Fraction]]:
@@ -377,20 +370,20 @@ def coordinate_ascent(
 
     Returns the final strategy and the value after each sweep; the history
     is non-decreasing because each replacement is an exact best response.
+    The winning count of the last player's response is the value of the
+    whole strategy after the sweep.
     """
-    N = 1 << family.n
-    total = N**t
+    total = (1 << family.n) ** t
     work = [tuple(tb) for tb in tables]
     history: list[Fraction] = []
     for _ in range(max_sweeps):
         changed = False
         for i in range(t):
-            new_i = _best_response_table(family, t, work, i)
+            new_i, count = _best_guesses(family, _others_correct(family, work, i))
             if new_i != work[i]:
                 work[i] = new_i
                 changed = True
-        strat = Strategy(t, family.n, tuple(work))
-        history.append(Fraction(_winning_count(family, strat), total))
+        history.append(Fraction(count, total))
         if not changed:
             break
     return Strategy(t, family.n, tuple(work)), history
@@ -419,16 +412,15 @@ def nested_lower_bound(
     Start candidates: the best lower-level strategy lifted through the
     split B^t = B^(t-1) x B (exact two-player witness at the bottom), the
     all-least-index strategy, and seeded random tables.  Each start is
-    improved by coordinate ascent, and the best final value is re-verified
-    by an exact count of the winning tuples of its witness, so the bound
-    never depends on the search having behaved.
+    improved by coordinate ascent, and the winner's witness is re-scored by
+    ``winning_set_of_strategy``, which shares no code with the ascent's
+    evaluator, so the bound never depends on the search having behaved.
     """
     if t < 3:
         raise ValueError("nested_lower_bound is for t >= 3; use the exact solvers below that")
     N = 1 << family.n
     views = N ** (t - 1)
     r = family.r
-    total = N**t
 
     starts: list[list[list[int]]] = []
     # seed strategy from one level down: exact two-player witness when the
@@ -447,9 +439,11 @@ def nested_lower_bound(
     best_val = Fraction(-1)
     best_strat: Strategy | None = None
     for tables in starts:
-        strat, _ = coordinate_ascent(family, t, tables)
-        val = Fraction(_winning_count(family, strat), total)
-        if val > best_val:
-            best_val = val
+        strat, history = coordinate_ascent(family, t, tables)
+        if history[-1] > best_val:
+            best_val = history[-1]
             best_strat = strat
-    return GameValue(t, family.n, family.kind, best_val, "lower_bound", best_strat)
+    # no new size limit: the mask's N^t bits take less memory than the t
+    # tables of N^(t-1) entries already held (whenever N < 64 t)
+    _, value = winning_set_of_strategy(family, best_strat, mask_guard=N**t)
+    return GameValue(t, family.n, family.kind, value, "lower_bound", best_strat)

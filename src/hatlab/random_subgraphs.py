@@ -8,8 +8,8 @@ uniformly random vertex subset W:
 
 Exact mode enumerates all 2^n subsets through a subset DP; Monte-Carlo mode
 draws one unbiased coin per vertex per sample from a counter-based stream
-keyed (seed, sample, vertex), so estimates are bit-identical for any thread
-count or evaluation order.
+keyed (seed, sample, vertex), so estimates are bit-identical for any
+evaluation order.
 """
 
 from __future__ import annotations

@@ -120,6 +120,40 @@ def simulate_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fraction
     return count, Fraction(count, total)
 
 
+def brute_best_response_table(
+    family: WinningFamily, tables: list[tuple[int, ...]], i: int
+) -> tuple[int, ...]:
+    """Player i's best response to the other tables, by simulating every tuple.
+
+    Per view, the mask over x_i of "every other player guesses correctly" is
+    built point by point; the guess covering most of it wins, least index on
+    ties.
+    """
+    N = 1 << family.n
+    t = len(tables)
+    sets = family.sets
+    new_table = []
+    for view in range(N ** (t - 1)):
+        others = []
+        f = view
+        for _ in range(t - 1):
+            others.append(f % N)
+            f //= N
+        others.reverse()
+        ok_mask = 0
+        for x_i in range(N):
+            coords = others[:i] + [x_i] + others[i:]
+            if all(
+                (sets[tables[j][view_index(coords, j, N)]] >> coords[j]) & 1
+                for j in range(t)
+                if j != i
+            ):
+                ok_mask |= 1 << x_i
+        counts = [(s & ok_mask).bit_count() for s in sets]
+        new_table.append(counts.index(max(counts)))
+    return tuple(new_table)
+
+
 def brute_two_player_value(family: WinningFamily) -> Fraction:
     """Max winning measure over every pair of full guess tables."""
     from itertools import product

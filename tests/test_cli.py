@@ -204,13 +204,6 @@ def test_record_replay_reproduces_values():
         assert strip_volatile(first) == strip_volatile(second)
 
 
-def test_thread_flag_does_not_change_records():
-    cmd = ["blockers", "build", "--bits", "5", "--seed", "2"]
-    _, a = run_capture(["--threads", "1"] + cmd)
-    _, b = run_capture(["--threads", "8"] + cmd)
-    assert strip_volatile(a) == strip_volatile(b)
-
-
 def test_budget_env_var_respected(monkeypatch):
     monkeypatch.setenv("HATLAB_BUDGET_MS", "1")
     # 100 nodes is far too few for this search; must fail loudly with exit 1

@@ -21,6 +21,7 @@ from hatlab.hat_game import (
 from hatlab.rng import randrange
 
 from oracles import (
+    brute_best_response_table,
     brute_two_player_value,
     maximal_intersecting_families,
     simulate_strategy,
@@ -255,6 +256,25 @@ def test_coordinate_ascent_never_decreases():
     ]
     _, history = coordinate_ascent(fam, 3, tables)
     assert all(history[i] <= history[i + 1] for i in range(len(history) - 1))
+
+
+@pytest.mark.parametrize(
+    "kind,n,t",
+    [(kind, n, t) for t in (3, 4) for kind in ("dictator", "intersecting", "monotone") for n in (1, 2)]
+    + [("dictator", 3, 3), ("intersecting", 3, 3)],
+)
+def test_coordinate_ascent_matches_per_tuple_oracle(kind, n, t):
+    fam = winning_family(kind, n)
+    views = (1 << n) ** (t - 1)
+    tables = [tuple(randrange(fam.r, 31, t, i, v) for v in range(views)) for i in range(t)]
+    _, history = coordinate_ascent(fam, t, tables)
+    work = list(tables)
+    for sweeps, value in enumerate(history, 1):
+        for i in range(t):
+            work[i] = brute_best_response_table(fam, work, i)
+        strat, head = coordinate_ascent(fam, t, tables, max_sweeps=sweeps)
+        assert strat.tables == tuple(work) and head == history[:sweeps]
+        assert simulate_strategy(fam, strat)[1] == value
 
 
 def test_nested_lower_bound_four_players_forced():
