@@ -46,6 +46,7 @@ from .graph_core import (
     make_graph,
     max_independent_set,
     parse_graph_text,
+    subset_alpha,
     subset_alpha_table,
     write_graph_text,
 )

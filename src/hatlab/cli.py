@@ -76,6 +76,10 @@ from .random_subgraphs import (
 NODES_PER_MS = 100
 
 
+class UsageError(ValueError):
+    """A handler found an invalid combination of arguments (exit code 2)."""
+
+
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -139,7 +143,7 @@ def load_graph(args) -> tuple[Graph, list[str] | None]:
             return parse_graph_text(fh.read()), None
     if getattr(args, "construct", None):
         return build_from_spec(args.construct)
-    raise ValueError("need --graph FILE or --construct SPEC")
+    raise UsageError("need --graph FILE or --construct SPEC")
 
 
 class Emitter:
@@ -212,19 +216,19 @@ def cmd_alpha(args, argv, em: Emitter) -> int:
 def cmd_hatgame(args, argv, em: Emitter) -> int:
     t0 = time.perf_counter()
     if args.players < 1:
-        raise ValueError("need at least one player")
+        raise UsageError("need at least one player")
     fam = winning_family(args.kind, args.hats)
     if args.players == 1:
         gv = exact_value_one_player(fam)
     elif args.players == 2:
         if args.mode == "lower":
-            raise ValueError("two-player values are computed exactly; use --mode exact")
+            raise UsageError("two-player values are computed exactly; use --mode exact")
         gv = exact_value_two_players(fam, budget=default_budget(args.budget, 2_000_000))
     else:
         if args.mode == "exact":
-            raise ValueError("exact mode stops at 2 players; use --mode lower for t >= 3")
+            raise UsageError("exact mode stops at 2 players; use --mode lower for t >= 3")
         if args.seed is None:
-            raise ValueError("--seed is required for the t >= 3 lower-bound search")
+            raise UsageError("--seed is required for the t >= 3 lower-bound search")
         gv = nested_lower_bound(fam, args.players, seed=args.seed, restarts=args.restarts)
     values = {
         "kind": gv.kind,
@@ -253,7 +257,7 @@ def cmd_blockers(args, argv, em: Emitter) -> int:
         return 0
     if args.action == "build":
         if args.level != 2:
-            raise ValueError("only level-2 blocker families are materializable at desk scale")
+            raise UsageError("only level-2 blocker families are materializable at desk scale")
         base = pair_blockers(args.bits)
         tuples = build_ell_tuples(
             args.bits, 2, seed=args.seed, target_measure=args.target_measure
@@ -312,7 +316,7 @@ def cmd_subgraph(args, argv, em: Emitter) -> int:
     if args.action == "alphastarstar":
         if args.mc:
             if args.seed is None:
-                raise ValueError("--seed is required for Monte-Carlo mode")
+                raise UsageError("--seed is required for Monte-Carlo mode")
             res = alpha_star_star_mc(G, args.samples, args.seed)
             values = {
                 "mode": res.mode,
@@ -485,9 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
         s = ssub.add_parser(action)
         s.add_argument("--graph")
         s.add_argument("--construct")
+        if action in ("alphastarstar", "partition-bound"):
+            mode = s.add_mutually_exclusive_group()
+            mode.add_argument("--exact", action="store_true")
+            mode.add_argument("--mc", action="store_true")
         if action == "alphastarstar":
-            s.add_argument("--exact", action="store_true")
-            s.add_argument("--mc", action="store_true")
             s.add_argument("--samples", type=int, default=2000)
             s.add_argument("--seed", type=int)
         elif action == "hajnal":
@@ -506,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--hats", type=int, default=2)
             s.add_argument("--samples", type=int, default=2000)
             s.add_argument("--seed", type=int)
-            s.add_argument("--exact", action="store_true")
-            s.add_argument("--mc", action="store_true")
 
     p = sub.add_parser("hitting", help="minimum hitting set of maximum independent sets")
     p.add_argument("--graph")
@@ -545,6 +549,7 @@ def run(argv: Sequence[str], capture: bool = False) -> tuple[int, list[dict]]:
     try:
         status = HANDLERS[args.command](args, argv, em)
     except (
+        UsageError,
         BudgetExceededError,
         CapExceededError,
         SizeLimitError,
@@ -554,7 +559,7 @@ def run(argv: Sequence[str], capture: bool = False) -> tuple[int, list[dict]]:
         OSError,
     ) as exc:
         print(f"hatlab: error: {exc}", file=sys.stderr)
-        return 1, em.records
+        return 2 if isinstance(exc, UsageError) else 1, em.records
     if not capture:
         em.flush()
     return status, em.records

@@ -4,12 +4,15 @@ A graph stores one adjacency row per vertex as a Python int, bit ``u`` of
 row ``v`` meaning ``u ~ v``.  A set bit on the diagonal is a self-loop; a
 self-looped vertex is barred from every independent set.  All exact solvers
 are deterministic: fixed vertex order, fixed branching order, no randomness.
+
+Maximum search and maximum-set enumeration share one explicit-stack branch
+and bound on a candidate mask, so ``subset_alpha`` searches G[W] in place;
+no search recurses or touches the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -183,6 +186,56 @@ def _color_bound(P: int, rows: Sequence[int]) -> tuple[list[int], list[int]]:
     return order, bound
 
 
+def _search(
+    rows: Sequence[int], P: int, budget: int, alpha: int | None = None, cap: int = DEFAULT_ENUM_CAP
+) -> list[int]:
+    """Coloring branch and bound over complement cliques inside nonempty P.
+
+    Stack frames are [clique, size, candidates, color order, color bounds,
+    next index]; a frame is dropped once ``size + bound < need``.  With
+    ``alpha`` None (maximum search) each leaf past the floor is kept and
+    raises ``need``, so the last mask is the witness; with ``alpha`` given
+    every clique of that size is kept, up to ``cap``.  Exhaustion certifies
+    alpha in [floor, root color count], or [alpha, alpha].
+    """
+    found: list[int] = []
+    need = 1 if alpha is None else alpha
+    nodes = 0
+    order, bound = _color_bound(P, rows)
+    upper = bound[-1] if alpha is None else alpha
+    stack = [[0, 0, P, order, bound, len(order)]]
+    while stack:
+        frame = stack[-1]
+        r_mask, r_size, local, order, bound, i = frame
+        i -= 1
+        if i < 0 or r_size + bound[i] < need:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            lower = need - 1 if alpha is None else alpha
+            raise BudgetExceededError(
+                f"independent-set search exceeded {budget} nodes; alpha in [{lower}, {upper}]",
+                lower_bound=lower, upper_bound=upper, nodes=nodes,
+            )
+        v = order[i]
+        bit = 1 << v
+        frame[2], frame[5] = local ^ bit, i
+        child = local & rows[v]
+        if child:
+            c_order, c_bound = _color_bound(child, rows)
+            stack.append([r_mask | bit, r_size + 1, child, c_order, c_bound, len(c_order)])
+        elif r_size + 1 >= need:
+            found.append(r_mask | bit)
+            if alpha is None:
+                need = r_size + 2
+            elif len(found) > cap:
+                raise CapExceededError(
+                    f"more than {cap} maximum independent sets", found=len(found)
+                )
+    return found
+
+
 def max_independent_set(G: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MISResult:
     """Exact alpha(G) with a witness.
 
@@ -190,46 +243,10 @@ def max_independent_set(G: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MISResul
     branching order.  Raises :class:`BudgetExceededError` carrying the best
     lower/upper bounds when the node budget runs out.
     """
-    if G.n == 0:
-        return MISResult(0, VertexSet(0, 0), Fraction(0))
     rows, allowed = _complement_rows(G)
-    if allowed == 0:
-        return MISResult(0, VertexSet(G.n, 0), Fraction(0))
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), G.n + 1000))
-    best_size = 0
-    best_mask = 0
-    nodes = 0
-    _, root_bound = _color_bound(allowed, rows)
-    root_upper = root_bound[-1] if root_bound else 0
-
-    def expand(r_mask: int, r_size: int, P: int) -> None:
-        nonlocal best_size, best_mask, nodes
-        if P == 0:
-            if r_size > best_size:
-                best_size = r_size
-                best_mask = r_mask
-            return
-        order, bound = _color_bound(P, rows)
-        local = P
-        for i in range(len(order) - 1, -1, -1):
-            if r_size + bound[i] <= best_size:
-                return
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"independent-set search exceeded {budget} nodes",
-                    lower_bound=best_size,
-                    upper_bound=root_upper,
-                    nodes=nodes,
-                )
-            v = order[i]
-            bit = 1 << v
-            expand(r_mask | bit, r_size + 1, local & rows[v])
-            local ^= bit
-
-    expand(0, 0, allowed)
-    return MISResult(best_size, VertexSet(G.n, best_mask), Fraction(best_size, G.n))
+    best = _search(rows, allowed, budget)[-1] if allowed else 0
+    alpha = best.bit_count()
+    return MISResult(alpha, VertexSet(G.n, best), Fraction(alpha, G.n or 1))
 
 
 def enumerate_maximum_independent_sets(
@@ -241,40 +258,10 @@ def enumerate_maximum_independent_sets(
     more than ``cap`` sets exist.
     """
     alpha = max_independent_set(G, budget=budget).alpha
-    if G.n == 0 or alpha == 0:
+    if alpha == 0:
         return [VertexSet(G.n, 0)]
     rows, allowed = _complement_rows(G)
-    found: list[int] = []
-    nodes = 0
-
-    def expand(r_mask: int, r_size: int, P: int) -> None:
-        nonlocal nodes
-        if r_size == alpha:
-            found.append(r_mask)
-            if len(found) > cap:
-                raise CapExceededError(
-                    f"more than {cap} maximum independent sets", found=len(found)
-                )
-            return
-        if P == 0:
-            return
-        order, bound = _color_bound(P, rows)
-        local = P
-        for i in range(len(order) - 1, -1, -1):
-            if r_size + bound[i] < alpha:
-                return
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"enumeration exceeded {budget} nodes", lower_bound=alpha, nodes=nodes
-                )
-            v = order[i]
-            bit = 1 << v
-            expand(r_mask | bit, r_size + 1, local & rows[v])
-            local ^= bit
-
-    expand(0, 0, allowed)
-    return [VertexSet(G.n, m) for m in sorted(found)]
+    return [VertexSet(G.n, m) for m in sorted(_search(rows, allowed, budget, alpha, cap))]
 
 
 def enumerate_maximal_independent_sets(
@@ -282,14 +269,15 @@ def enumerate_maximal_independent_sets(
 ) -> list[VertexSet]:
     """Containment-maximal independent sets of size >= min_size, sorted.
 
-    Bron-Kerbosch with pivoting on the complement-clique view.
+    Bron-Kerbosch with pivoting on the complement-clique view.  A call's
+    children depend only on it and its earlier siblings, so it pushes them
+    all at once, first child on top.
     """
-    if G.n == 0:
-        return [VertexSet(0, 0)] if min_size <= 0 else []
     rows, allowed = _complement_rows(G)
     found: list[int] = []
-
-    def bk(R: int, P: int, X: int) -> None:
+    stack = [(0, allowed, 0)]
+    while stack:
+        R, P, X = stack.pop()
         if P == 0 and X == 0:
             if R.bit_count() >= min_size:
                 found.append(R)
@@ -297,25 +285,18 @@ def enumerate_maximal_independent_sets(
                     raise CapExceededError(
                         f"more than {cap} maximal independent sets", found=len(found)
                     )
-            return
+            continue
         if R.bit_count() + P.bit_count() < min_size:
-            return
+            continue
         # pivot: vertex of P|X maximizing |P & rows[u]|, lowest index on ties
-        best_u = -1
-        best_cnt = -1
-        for u in iter_bits(P | X):
-            cnt = (P & rows[u]).bit_count()
-            if cnt > best_cnt:
-                best_cnt = cnt
-                best_u = u
-        ext = P & ~rows[best_u]
-        for v in iter_bits(ext):
+        pivot = max(iter_bits(P | X), key=lambda u: (P & rows[u]).bit_count())
+        children = []
+        for v in iter_bits(P & ~rows[pivot]):
             bit = 1 << v
-            bk(R | bit, P & rows[v], X & rows[v])
+            children.append((R | bit, P & rows[v], X & rows[v]))
             P ^= bit
             X |= bit
-
-    bk(0, allowed, 0)
+        stack.extend(reversed(children))
     return [VertexSet(G.n, m) for m in sorted(found)]
 
 
@@ -335,6 +316,19 @@ def induced_subgraph(G: Graph, S: VertexSet) -> Graph:
             row |= 1 << pos[u]
         adj.append(row)
     return Graph(len(keep), tuple(adj))
+
+
+def subset_alpha(G: Graph, W: int) -> int:
+    """alpha(G[W]) for the vertex mask W, without building G[W].
+
+    Same search, node count and default budget as ``max_independent_set``
+    on the induced subgraph.
+    """
+    if W < 0 or W >> G.n:
+        raise ValueError("vertex mask out of range for the graph")
+    rows, allowed = _complement_rows(G)
+    P = allowed & W
+    return _search(rows, P, DEFAULT_NODE_BUDGET)[-1].bit_count() if P else 0
 
 
 def subset_alpha_table(G: Graph) -> list[int]:

@@ -27,8 +27,8 @@ from .graph_core import (
     VertexSet,
     enumerate_maximum_independent_sets,
     graph_fingerprint,
-    induced_subgraph,
     max_independent_set,
+    subset_alpha,
     subset_alpha_table,
 )
 from .hat_game import WinningFamily
@@ -126,7 +126,7 @@ def _alpha_table_cached(G: Graph) -> tuple[int, ...]:
 def _alpha_of_subset(G: Graph, mask: int) -> int:
     if G.n <= EXACT_SUBSET_GUARD:
         return _alpha_table_cached(G)[mask]
-    return max_independent_set(induced_subgraph(G, VertexSet(G.n, mask))).alpha
+    return subset_alpha(G, mask)
 
 
 def _mean_and_stderr(values: Sequence[Fraction], denom: int) -> tuple[float, float]:
@@ -207,7 +207,7 @@ def removal_trace(G: Graph, m: int, seed: int, threshold: Fraction) -> RemovalTr
         idx = randrange(len(remaining), seed, step)
         v = remaining.pop(idx)
         mask &= ~(1 << v)
-        alpha_now = max_independent_set(induced_subgraph(G, VertexSet(G.n, mask))).alpha
+        alpha_now = subset_alpha(G, mask)
         successful = alpha_prev < cutoff or alpha_now < alpha_prev
         steps.append(RemovalStep(v, alpha_now, successful))
         alpha_prev = alpha_now

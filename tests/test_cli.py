@@ -78,7 +78,7 @@ def test_hatgame_three_players_needs_lower_mode():
     status, _ = run_capture(
         ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1"]
     )
-    assert status == 1  # exact mode refused for t >= 3
+    assert status == 2  # exact mode refused for t >= 3: a usage error
 
 
 def test_blockers_schedule_record():
@@ -184,9 +184,41 @@ def test_guard_failure_exits_1():
     assert status == 1
 
 
-def test_missing_graph_source_exits_1():
+def test_missing_graph_source_exits_2():
     status, _ = run_capture(["alpha"])
+    assert status == 2
+
+
+def test_handler_usage_errors_exit_2():
+    for argv in (
+        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--mode", "lower"],
+        ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "1", "--mode", "lower"],
+        ["hatgame", "--kind", "dictator", "--players", "0", "--hats", "1"],
+        ["blockers", "build", "--level", "3", "--bits", "4", "--seed", "1"],
+        ["subgraph", "alphastarstar", "--construct", "gnp:8,0.3,1", "--mc"],
+    ):
+        status, _ = run_capture(argv)
+        assert status == 2, argv
+
+
+def test_exact_and_mc_are_mutually_exclusive(tmp_path):
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0, 1], [2, 3, 4]]))
+    for argv in (
+        ["subgraph", "alphastarstar", "--construct", "gnp:5,0.4,9", "--seed", "1"],
+        ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
+         "--partition-file", str(ppath)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--exact", "--mc"])
+        assert exc.value.code == 2
+
+
+def test_budget_exhaustion_names_certified_interval(capsys):
+    status, _ = run_capture(["alpha", "--construct", "kneser:4^2", "--budget", "1000"])
     assert status == 1
+    err = capsys.readouterr().err
+    assert "exceeded 1000 nodes; alpha in [86, 105]" in err
 
 
 # -- replay determinism -------------------------------------------------------

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,11 @@ from hatlab.graph_core import (
     make_graph,
     max_independent_set,
     parse_graph_text,
+    subset_alpha,
     subset_alpha_table,
     write_graph_text,
 )
-from hatlab.constructions import kneser_hypercube, random_gnp
+from hatlab.constructions import cayley_distance_graph, hamming_power, kneser_hypercube, random_gnp
 
 from oracles import (
     brute_alpha,
@@ -112,6 +114,58 @@ def test_budget_exceeded_carries_bounds():
     assert 0 <= exc.value.lower_bound <= exc.value.upper_bound <= 40
 
 
+# Witness masks of the fixed branching order; a change here is a tie-break
+# change, which the search core must not make silently.
+CORPUS_WITNESSES = [
+    14, 31, 56, 101, 166, 27, 986, 1428, 1668, 5520, 11, 12, 30, 43, 156,
+    304, 168, 560, 3287, 3468, 13, 14, 28, 96, 235, 218, 888, 1410, 2634, 2060,
+]
+
+
+def test_witnesses_pinned_on_corpus():
+    assert [max_independent_set(G).witness.bits for G in corpus()] == CORPUS_WITNESSES
+
+
+def test_witnesses_pinned_on_frontier_graphs():
+    k3 = kneser_hypercube(3)
+    for G, alpha, bits in (
+        (kneser_hypercube(6), 32, 0xFFFFFFFF00000000),
+        (hamming_power(k3, 2), 22, 0xF0F0CCD02A220C00),
+        (cayley_distance_graph(6, 1), 22, 0xF771711071101000),
+        (random_gnp(100, 0.2, seed=201), 19, 0xC0510808010B2010083020C00),
+        (make_graph(1024, []), 1024, (1 << 1024) - 1),
+    ):
+        res = max_independent_set(G)
+        assert (res.alpha, res.witness.bits) == (alpha, bits)
+
+
+def test_budgeted_intervals_pinned():
+    for G, budget, interval in (
+        (hamming_power(kneser_hypercube(4), 2), 100_000, (86, 105, 100_001)),
+        (hamming_power(kneser_hypercube(3), 3), 30_000, (131, 157, 30_001)),
+    ):
+        with pytest.raises(BudgetExceededError) as exc:
+            max_independent_set(G, budget=budget)
+        e = exc.value
+        assert (e.lower_bound, e.upper_bound, e.nodes) == interval
+        assert f"alpha in [{interval[0]}, {interval[1]}]" in str(e)
+
+
+def test_deep_searches_need_no_recursion():
+    G = make_graph(1500, [])
+    everything = (1 << 1500) - 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert max_independent_set(G).witness.bits == everything
+        assert [vs.bits for vs in enumerate_maximum_independent_sets(G)] == [everything]
+        assert [vs.bits for vs in enumerate_maximal_independent_sets(G)] == [everything]
+        assert max_independent_set(make_graph(2048, [])).alpha == 2048
+        assert sys.getrecursionlimit() == 200  # no search touches the limit
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # -- enumeration of maximum sets ---------------------------------------------
 
 
@@ -143,6 +197,16 @@ def test_enumerate_maximum_cap():
     with pytest.raises(CapExceededError) as exc:
         enumerate_maximum_independent_sets(H, cap=3)
     assert exc.value.found == 4
+
+
+def test_enumerate_maximum_budget_exhaustion_names_alpha():
+    H = make_graph(12, [(2 * i, 2 * i + 1) for i in range(6)])  # 64 maximum sets
+    # 20 nodes finish the alpha search but not the enumeration
+    assert max_independent_set(H, budget=20).alpha == 6
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_maximum_independent_sets(H, budget=20)
+    assert exc.value.lower_bound == exc.value.upper_bound == 6
+    assert exc.value.nodes == 21
 
 
 # -- maximal sets ------------------------------------------------------------
@@ -204,11 +268,12 @@ def test_induced_kneser2_restriction():
 
 
 def test_induced_alpha_monotone():
-    for G in corpus(8):
+    for G in corpus(8) + [make_graph(6, [(0, 0), (1, 2), (3, 3), (4, 5)])]:
         alpha = max_independent_set(G).alpha
-        for bits in (0b1011, (1 << G.n) - 1, 0b11):
+        for bits in (0, 0b1011, (1 << G.n) - 1, 0b11):
             S = VertexSet(G.n, bits & ((1 << G.n) - 1))
-            assert max_independent_set(induced_subgraph(G, S)).alpha <= alpha
+            sub_alpha = max_independent_set(induced_subgraph(G, S)).alpha
+            assert subset_alpha(G, S.bits) == sub_alpha <= alpha
 
 
 def test_self_loops_restrict_through_induced():
@@ -222,11 +287,20 @@ def test_self_loops_restrict_through_induced():
 
 
 def test_subset_alpha_table_matches_solver():
-    G = random_gnp(9, 0.3, seed=12)
-    table = subset_alpha_table(G)
-    for mask in (0, 0b101, 0b111111111, 0b100100100):
-        sub = induced_subgraph(G, VertexSet(9, mask))
-        assert table[mask] == max_independent_set(sub).alpha
+    looped = (
+        make_graph(9, random_gnp(9, 0.2, seed=40).edges() + [(0, 0), (3, 3), (6, 6)]),
+        make_graph(9, random_gnp(9, 0.5, seed=41).edges() + [(4, 4), (7, 7)]),
+    )
+    for G in (random_gnp(9, 0.3, seed=12),) + looped:
+        table = subset_alpha_table(G)
+        for mask in (0, 0b101, 0b111111111, 0b100100100, 0b011011010):
+            sub = induced_subgraph(G, VertexSet(9, mask))
+            assert table[mask] == max_independent_set(sub).alpha == subset_alpha(G, mask)
+
+
+def test_subset_alpha_rejects_out_of_range_mask():
+    with pytest.raises(ValueError):
+        subset_alpha(TRIANGLE, 0b1000)
 
 
 def test_subset_alpha_table_with_loops():
