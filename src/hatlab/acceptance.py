@@ -30,7 +30,7 @@ from .graph_core import (
     make_graph,
     max_independent_set,
 )
-from .hat_game import exact_value_two_players, winning_family
+from .hat_game import Strategy, exact_value_two_players, winning_family, winning_set_of_strategy
 from .hitting_sets import covering_code_check, h_of_graph
 from .random_subgraphs import (
     alpha_star_star_exact,
@@ -192,19 +192,14 @@ def check_5_strict_monotonicity(quick: bool) -> CheckResult:
 
 
 def _brute_force_blocker_oracle(n: int) -> list[int]:
-    """Winning sets (as masks over B^2) of all two-player dictator strategies."""
+    """Winning sets (as masks over B^2, flat x0*N+x1) of all two-player dictator strategies."""
     fam = winning_family("dictator", n)
-    N = 1 << n
-    masks = []
-    for t0_tbl in iter_product(range(fam.r), repeat=N):
-        for t1_tbl in iter_product(range(fam.r), repeat=N):
-            w = 0
-            for x0 in range(N):
-                for x1 in range(N):
-                    if (fam.sets[t0_tbl[x1]] >> x0) & 1 and (fam.sets[t1_tbl[x0]] >> x1) & 1:
-                        w |= 1 << (x0 * N + x1)
-            masks.append(w)
-    return masks
+    tables = list(iter_product(range(fam.r), repeat=1 << n))
+    return [
+        winning_set_of_strategy(fam, Strategy(2, n, (t0_tbl, t1_tbl)))[0]
+        for t0_tbl in tables
+        for t1_tbl in tables
+    ]
 
 
 def check_6_blocker_certification(quick: bool) -> CheckResult:

@@ -238,12 +238,7 @@ def verify_blocker(
     if not tuples:
         raise ValueError("empty candidate set")
 
-    r = family.r
-    sets = family.sets
-
-    views_per_player: list[list[PointTuple]] = []
-    for i in range(t):
-        views_per_player.append(sorted({a[:i] + a[i + 1 :] for a in tuples}))
+    views_per_player = [sorted({a[:i] + a[i + 1 :] for a in tuples}) for i in range(t)]
     # assign players with fewer views first so contradictions surface early
     player_order = sorted(range(t), key=lambda i: (len(views_per_player[i]), i))
     variables: list[tuple[int, PointTuple]] = [
@@ -251,55 +246,49 @@ def verify_blocker(
     ]
     var_id = {var: k for k, var in enumerate(variables)}
 
-    # per variable: the tuples it participates in, with the point to test
-    touches: list[list[tuple[int, int]]] = [[] for _ in variables]
+    # per variable k, tuple masks: wrong[k][g] fail when k guesses g, and
+    # closes[k] have k as their last-assigned variable
+    r = family.r
+    wrong = [[0] * r for _ in variables]
+    closes = [0] * len(variables)
     for a_idx, a in enumerate(tuples):
-        for i in range(t):
-            touches[var_id[(i, a[:i] + a[i + 1 :])]].append((a_idx, a[i]))
+        ks = [var_id[(i, a[:i] + a[i + 1 :])] for i in range(t)]
+        closes[max(ks)] |= 1 << a_idx
+        for k, pt in zip(ks, a):
+            for g, s in enumerate(family.sets):
+                if not (s >> pt) & 1:
+                    wrong[k][g] |= 1 << a_idx
 
-    pending = [t] * len(tuples)
-    failed = [False] * len(tuples)
+    # failed[pos]: tuples already failed by the guesses at positions < pos
+    failed = [0] * (len(variables) + 1)
     assignment = [0] * len(variables)
-    nodes = 0
-
-    def dfs(pos: int) -> bool:
-        nonlocal nodes
-        if pos == len(variables):
-            return True  # every tuple failed somewhere: A is avoided
-        for g in range(r):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"verification exceeded {budget} assignments; verdict unknown",
-                    nodes=nodes,
-                )
-            newly_failed = []
-            feasible = True
-            for a_idx, pt in touches[pos]:
-                pending[a_idx] -= 1
-                if not (sets[g] >> pt) & 1 and not failed[a_idx]:
-                    failed[a_idx] = True
-                    newly_failed.append(a_idx)
-            for a_idx, _ in touches[pos]:
-                if pending[a_idx] == 0 and not failed[a_idx]:
-                    feasible = False
-                    break
-            if feasible:
-                assignment[pos] = g
-                if dfs(pos + 1):
-                    return True
-            for a_idx, _ in touches[pos]:
-                pending[a_idx] += 1
-            for a_idx in newly_failed:
-                failed[a_idx] = False
-        return False
-
-    if dfs(0):
-        counterexample: dict[int, dict[PointTuple, int]] = {}
-        for k, (i, view) in enumerate(variables):
-            counterexample.setdefault(i, {})[view] = assignment[k]
-        return VerifyResult(False, counterexample, nodes)
-    return VerifyResult(True, None, nodes)
+    nodes = pos = g = 0
+    while pos < len(variables):
+        if g == r:  # every guess at pos is dead: backtrack
+            if pos == 0:
+                return VerifyResult(True, None, nodes)
+            pos -= 1
+            g = assignment[pos] + 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"verification exceeded {budget} assignments; verdict unknown",
+                nodes=nodes,
+            )
+        f = failed[pos] | wrong[pos][g]
+        if closes[pos] & ~f:  # a tuple has every player assigned and none wrong
+            g += 1
+        else:
+            assignment[pos] = g
+            pos += 1
+            failed[pos] = f
+            g = 0
+    # every tuple failed somewhere: A is avoided
+    counterexample: dict[int, dict[PointTuple, int]] = {}
+    for k, (i, view) in enumerate(variables):
+        counterexample.setdefault(i, {})[view] = assignment[k]
+    return VerifyResult(False, counterexample, nodes)
 
 
 def lemma_bound(p_t: Fraction, k: int, beta: Fraction) -> Fraction:
@@ -335,9 +324,12 @@ def tuples_from_json(obj: Sequence[Sequence[str]]) -> tuple[int, int, list[Point
     """Parse one candidate set: a JSON array of tuples of word strings.
 
     Returns (n, t, tuples); n comes from the word length, t from the arity.
+    Raises ValueError on any other shape.
     """
-    if not obj:
-        raise ValueError("candidate set is empty")
+    if not (isinstance(obj, list) and obj) or not all(
+        isinstance(tup, list) and tup and all(isinstance(w, str) for w in tup) for tup in obj
+    ):
+        raise ValueError("a candidate set must be a nonempty array of nonempty arrays of words")
     tuples = []
     n = len(obj[0][0])
     t = len(obj[0])

@@ -58,6 +58,7 @@ from .graph_core import (
     write_graph_text,
 )
 from .hat_game import (
+    KINDS,
     exact_value_one_player,
     exact_value_two_players,
     nested_lower_bound,
@@ -278,7 +279,8 @@ def cmd_blockers(args, argv, em: Emitter) -> int:
     if args.action == "verify":
         with open(args.file) as fh:
             payload = json.load(fh)
-        candidates = payload["blockers"] if isinstance(payload, dict) else [payload]
+        is_family = isinstance(payload, dict) and isinstance(payload.get("blockers"), list)
+        candidates = payload["blockers"] if is_family else [payload]
         wf = None
         budget = default_budget(args.budget, 5_000_000)
         results = []
@@ -397,8 +399,10 @@ def cmd_hitting(args, argv, em: Emitter) -> int:
     }
     if labels:
         values["witness_labels"] = [labels[v] for v in witness]
-    if args.construct and args.construct.startswith("cayley:"):
-        m, t = map(int, args.construct.split(":")[1].split(","))
+    spec, _, power = (args.construct or "").partition("^")
+    # covering codes live on the Cayley graph itself, not on its Hamming powers
+    if spec.startswith("cayley:") and int(power or 1) == 1:
+        m, t = map(int, spec[len("cayley:"):].split(","))
         values["covering_code_ok"] = covering_code_check(m, m // 2 - t, witness)
     em.record(make_record(args, argv, values, t0=t0))
     return 0
@@ -459,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
 
     p = sub.add_parser("hatgame", help="game values for a winning family")
-    p.add_argument("--kind", choices=("dictator", "intersecting", "monotone"), required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--players", type=int, required=True)
     p.add_argument("--hats", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "lower"), default="exact")
@@ -480,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--budget", type=int)
     b = bsub.add_parser("verify")
     b.add_argument("--file", required=True)
-    b.add_argument("--kind", default="dictator")
+    b.add_argument("--kind", choices=KINDS, default="dictator")
     b.add_argument("--budget", type=int)
 
     p = sub.add_parser("subgraph", help="random induced-subgraph statistics")

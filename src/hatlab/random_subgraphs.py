@@ -216,16 +216,11 @@ def removal_trace(G: Graph, m: int, seed: int, threshold: Fraction) -> RemovalTr
     )
 
 
-def alpha_star_star_margin(
-    G: Graph,
-    samples: int = 2000,
-    seed: int = 0,
-    exact_guard: int = EXACT_SUBSET_GUARD,
-) -> MarginReport:
+def alpha_star_star_margin(G: Graph, samples: int = 2000, seed: int = 0) -> MarginReport:
     """Check alpha_star_star(G) <= 1/4 + tau - tau^2/3 where alpha_bar = 1/4 + tau.
 
     Requires 0 < tau < 1/4 (raises ValueError otherwise).  The estimate is
-    exact for n <= exact_guard; otherwise the Monte-Carlo estimate must stay
+    exact for n <= EXACT_SUBSET_GUARD; otherwise the Monte-Carlo estimate must stay
     below the bound plus three standard errors.
     """
     res = max_independent_set(G)
@@ -235,8 +230,8 @@ def alpha_star_star_margin(
             f"independence ratio {res.alpha_bar} out of range: need 1/4 < alpha_bar < 1/2"
         )
     bound = Fraction(1, 4) + tau - tau * tau / 3
-    if G.n <= exact_guard:
-        est = alpha_star_star_exact(G, guard=exact_guard)
+    if G.n <= EXACT_SUBSET_GUARD:
+        est = alpha_star_star_exact(G)
     else:
         est = alpha_star_star_mc(G, samples, seed)
     return MarginReport(

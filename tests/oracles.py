@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from hatlab.bits import iter_bits, iter_submasks
+from hatlab.blockers import DEFAULT_VERIFY_BUDGET, PointTuple, VerifyResult
+from hatlab.errors import BudgetExceededError
 from hatlab.graph_core import Graph
 from hatlab.hat_game import Strategy, WinningFamily, view_index
 
@@ -193,3 +196,104 @@ def brute_min_hitting(masks: list[int], universe: int) -> int:
             if all(m & chosen for m in masks):
                 return size
     raise AssertionError("unhittable collection")
+
+
+def reference_verify_blocker(
+    n: int,
+    t: int,
+    A: Iterable[PointTuple],
+    family: WinningFamily,
+    budget: int = DEFAULT_VERIFY_BUDGET,
+) -> VerifyResult:
+    """Decide whether A intersects every winning set of the t-player game.
+
+    The recursive DFS with per-tuple pending counters and undo lists that
+    ``hatlab.blockers.verify_blocker`` replaced: the same variables, guess
+    order, node count, budget message and counterexample.
+
+    A winning set avoiding A exists iff guesses can be chosen on the views
+    that A projects to (per player) so that every tuple of A fails for at
+    least one player; all other views are irrelevant.  The search runs over
+    those assignments with early pruning: a branch dies as soon as some
+    tuple has all its players assigned and none wrong.  When A is not a
+    blocker the first avoiding assignment (in lexicographic order) comes
+    back as a partial strategy.
+
+    Raises :class:`BudgetExceededError` when the budget runs out; the
+    verdict is then unknown, never silently passed.
+    """
+    tuples = sorted(set(tuple(a) for a in A))
+    if t < 2:
+        raise ValueError("verify_blocker handles t >= 2")
+    if family.n != n:
+        raise ValueError("family point space does not match n")
+    for a in tuples:
+        if len(a) != t:
+            raise ValueError(f"tuple {a} does not have arity {t}")
+        if any(not 0 <= x < (1 << n) for x in a):
+            raise ValueError(f"tuple {a} has points outside {n}-bit space")
+    if not tuples:
+        raise ValueError("empty candidate set")
+
+    r = family.r
+    sets = family.sets
+
+    views_per_player: list[list[PointTuple]] = []
+    for i in range(t):
+        views_per_player.append(sorted({a[:i] + a[i + 1 :] for a in tuples}))
+    # assign players with fewer views first so contradictions surface early
+    player_order = sorted(range(t), key=lambda i: (len(views_per_player[i]), i))
+    variables: list[tuple[int, PointTuple]] = [
+        (i, view) for i in player_order for view in views_per_player[i]
+    ]
+    var_id = {var: k for k, var in enumerate(variables)}
+
+    # per variable: the tuples it participates in, with the point to test
+    touches: list[list[tuple[int, int]]] = [[] for _ in variables]
+    for a_idx, a in enumerate(tuples):
+        for i in range(t):
+            touches[var_id[(i, a[:i] + a[i + 1 :])]].append((a_idx, a[i]))
+
+    pending = [t] * len(tuples)
+    failed = [False] * len(tuples)
+    assignment = [0] * len(variables)
+    nodes = 0
+
+    def dfs(pos: int) -> bool:
+        nonlocal nodes
+        if pos == len(variables):
+            return True  # every tuple failed somewhere: A is avoided
+        for g in range(r):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"verification exceeded {budget} assignments; verdict unknown",
+                    nodes=nodes,
+                )
+            newly_failed = []
+            feasible = True
+            for a_idx, pt in touches[pos]:
+                pending[a_idx] -= 1
+                if not (sets[g] >> pt) & 1 and not failed[a_idx]:
+                    failed[a_idx] = True
+                    newly_failed.append(a_idx)
+            for a_idx, _ in touches[pos]:
+                if pending[a_idx] == 0 and not failed[a_idx]:
+                    feasible = False
+                    break
+            if feasible:
+                assignment[pos] = g
+                if dfs(pos + 1):
+                    return True
+            for a_idx, _ in touches[pos]:
+                pending[a_idx] += 1
+            for a_idx in newly_failed:
+                failed[a_idx] = False
+        return False
+
+    if dfs(0):
+        counterexample: dict[int, dict[PointTuple, int]] = {}
+        for k, (i, view) in enumerate(variables):
+            counterexample.setdefault(i, {})[view] = assignment[k]
+        return VerifyResult(False, counterexample, nodes)
+    return VerifyResult(True, None, nodes)

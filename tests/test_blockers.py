@@ -1,8 +1,11 @@
+import json
+import sys
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from hatlab.bits import point_to_str
 from hatlab.blockers import (
     blocker_schedule,
     build_ell_tuples,
@@ -13,11 +16,12 @@ from hatlab.blockers import (
     tuples_from_json,
     verify_blocker,
 )
+from hatlab.cli import run
 from hatlab.errors import BudgetExceededError, RetryLimitError
-from hatlab.hat_game import exact_value_two_players, winning_family
+from hatlab.hat_game import KINDS, exact_value_two_players, winning_family
 from hatlab.rng import randrange
 
-from oracles import two_player_winning_masks
+from oracles import reference_verify_blocker, two_player_winning_masks
 
 
 # -- schedule ----------------------------------------------------------------
@@ -199,6 +203,77 @@ def test_verify_three_player_blocker():
     assert not verify_blocker(1, 3, all_tuples[:-1], fam).is_blocker
 
 
+def _random_candidate(n, t, seed, c):
+    N = 1 << n
+    space = N**t
+    size = 1 + randrange(min(space, 4 * N * t), seed, n, t, c)
+    chosen = set()
+    k = 0
+    while len(chosen) < size:
+        flat = randrange(space, seed, n, t, c, k)
+        k += 1
+        chosen.add(tuple((flat // N**j) % N for j in range(t)))
+    return chosen
+
+
+def _outcome(verify, *args, **kwargs):
+    try:
+        res = verify(*args, **kwargs)
+    except BudgetExceededError as exc:
+        return ("exhausted", exc.nodes, str(exc))
+    return (res.is_blocker, res.nodes, res.counterexample)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verifier_matches_reference_dfs(kind):
+    seen = set()
+    for n in (1, 2, 3):
+        fam = winning_family(kind, n)
+        for t in (2, 3, 4):
+            for c in range(4):
+                A = _random_candidate(n, t, 77, c)
+                for budget in (7, 50, 20_000):
+                    got = _outcome(verify_blocker, n, t, A, fam, budget=budget)
+                    assert got == _outcome(reference_verify_blocker, n, t, A, fam, budget=budget)
+                    seen.add(got[0])
+    assert seen == {True, False, "exhausted"}
+
+
+def test_deep_candidate_needs_no_recursion(tmp_path):
+    # 600 triples at n=5 whose player-0 point has x_1 = 0: guessing the first
+    # dictator set on every view avoids them all, 1171 variables deep
+    A = set()
+    k = 0
+    while len(A) < 600:
+        a = [randrange(32, 4, k, j) for j in range(3)]
+        k += 1
+        A.add((a[0] & ~1, a[1], a[2]))
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps([[point_to_str(x, 5) for x in a] for a in sorted(A)]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        res = verify_blocker(5, 3, A, winning_family("dictator", 5))
+        status, records = run(["blockers", "verify", "--file", str(path)], capture=True)
+        assert sys.getrecursionlimit() == 200
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not res.is_blocker and res.nodes == 1171
+    guesses = [g for table in res.counterexample.values() for g in table.values()]
+    assert len(guesses) == 1171 and set(guesses) == {0}
+    assert status == 0
+    (rec,) = records[0]["values"]["results"]
+    assert (rec["is_blocker"], rec["nodes"]) == (False, 1171)
+
+
+def test_level2_certificate_nodes_pinned():
+    lifted = lift_blockers(pair_blockers(4), build_ell_tuples(4, 2, seed=101))
+    fam = winning_family("dictator", 4)
+    results = [verify_blocker(4, 2, b, fam) for b in lifted.blockers]
+    assert all(res.is_blocker for res in results)
+    assert [res.nodes for res in results] == [1492, 1876, 1876, 2132, 1876, 2132, 2132, 1876]
+
+
 # -- numeric bound -----------------------------------------------------------
 
 
@@ -232,3 +307,9 @@ def test_family_json_round_trip():
     n, t, tuples = tuples_from_json(obj["blockers"][0])
     assert (n, t) == (4, 2)
     assert frozenset(tuples) in lifted.blockers
+
+
+def test_tuples_from_json_rejects_malformed_candidates():
+    for obj in ([], [[]], [[1, 2]], [["01"], []], [["01", "1"]], 5, "01", {"blockers": []}):
+        with pytest.raises(ValueError):
+            tuples_from_json(obj)

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from hatlab import cli
 from hatlab.cli import build_from_spec, run
 from hatlab.constructions import kneser_hypercube, shift_graph
-from hatlab.graph_core import parse_graph_text
+from hatlab.graph_core import make_graph, parse_graph_text
+from hatlab.hitting_sets import h_of_graph
 
 
 def run_capture(argv):
@@ -109,6 +111,25 @@ def test_blockers_verify_single_candidate(tmp_path):
     assert not res["is_blocker"] and res["counterexample"]
 
 
+def test_blockers_verify_malformed_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "cand.json"
+    for payload in ([[]], [[1, 2]], {"blockers": 5}, {"t": 2}):
+        path.write_text(json.dumps(payload))
+        status, _ = run_capture(["blockers", "verify", "--file", str(path)])
+        assert status == 1, payload
+        assert capsys.readouterr().err.startswith("hatlab: error: "), payload
+
+
+def test_blockers_verify_kind_is_a_choice(tmp_path):
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps([["01", "01"]]))
+    status, _ = run_capture(["blockers", "verify", "--file", str(path), "--kind", "intersecting"])
+    assert status == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["blockers", "verify", "--file", str(path), "--kind", "bogus"])
+    assert exc.value.code == 2
+
+
 def test_subgraph_alphastarstar_exact_record(tmp_path):
     gpath = tmp_path / "edge.txt"
     gpath.write_text("graph 2 1\ne 0 1\n")
@@ -166,6 +187,19 @@ def test_hitting_cayley_includes_covering_check():
     status, records = run_capture(["hitting", "--construct", "cayley:4,1"])
     assert status == 0
     assert records[0]["values"]["covering_code_ok"] is True
+
+
+def test_hitting_cayley_power_suffix(monkeypatch):
+    _, plain = run_capture(["hitting", "--construct", "cayley:4,1"])
+    status, first_power = run_capture(["hitting", "--construct", "cayley:4,1^1"])
+    assert status == 0 and strip_volatile(first_power) == strip_volatile(plain)
+    # h of the 256-vertex square is out of reach, so search an edgeless graph
+    # of the same size: the record has no covering-code check
+    monkeypatch.setattr(cli, "h_of_graph", lambda G, **kw: h_of_graph(make_graph(G.n, []), **kw))
+    status, records = run_capture(["hitting", "--construct", "cayley:4,1^2"])
+    assert status == 0
+    values = records[0]["values"]
+    assert values["h"] == 1 and "covering_code_ok" not in values
 
 
 # -- exit codes ---------------------------------------------------------------
