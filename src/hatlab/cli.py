@@ -3,19 +3,14 @@
 Every record echoes its argv, parameters, and seed; re-running the echoed
 command reproduces the record's values exactly (wall-clock aside).  Exact
 rationals are rendered as "num/den" strings.  Exit codes: 0 success, 1
-budget/guard failure, 2 usage error.
-
-``HATLAB_BUDGET_MS`` overrides default search budgets when no explicit
-``--budget`` is given; it is converted to a node budget at a documented
-coarse rate of 100 nodes per millisecond so solver outcomes stay
-deterministic for a given value.
+budget/guard failure, 2 usage error.  Each ``--budget`` defaults to its
+library's node budget, so a record depends on nothing but its argv.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -24,6 +19,7 @@ from typing import Sequence
 from . import __version__
 from .bits import point_to_str
 from .blockers import (
+    DEFAULT_VERIFY_BUDGET,
     blocker_schedule,
     build_ell_tuples,
     family_to_json,
@@ -50,6 +46,7 @@ from .errors import (
     SizeLimitError,
 )
 from .graph_core import (
+    DEFAULT_NODE_BUDGET,
     Graph,
     VertexSet,
     graph_fingerprint,
@@ -58,13 +55,14 @@ from .graph_core import (
     write_graph_text,
 )
 from .hat_game import (
+    DEFAULT_TABLE_BUDGET,
     KINDS,
     exact_value_one_player,
     exact_value_two_players,
     nested_lower_bound,
     winning_family,
 )
-from .hitting_sets import covering_code_check, h_of_graph
+from .hitting_sets import DEFAULT_HIT_BUDGET, covering_code_check, h_of_graph
 from .random_subgraphs import (
     alpha_star_star_exact,
     alpha_star_star_margin,
@@ -73,8 +71,6 @@ from .random_subgraphs import (
     partition_bound_eval,
     removal_trace,
 )
-
-NODES_PER_MS = 100
 
 
 class UsageError(ValueError):
@@ -90,15 +86,6 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"expected a rational like 3/8, got {text!r}") from exc
-
-
-def default_budget(explicit: int | None, fallback: int) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("HATLAB_BUDGET_MS")
-    if env:
-        return max(1, int(env)) * NODES_PER_MS
-    return fallback
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +135,28 @@ def load_graph(args) -> tuple[Graph, list[str] | None]:
 
 
 class Emitter:
-    """Collects records and writes them as JSON lines."""
+    """Collects one command's records and writes them as JSON lines."""
 
-    def __init__(self, out_path: str | None):
-        self.out_path = out_path
+    def __init__(self, args, argv: Sequence[str]):
+        self.args = args
+        self.argv = list(argv)
+        self.out_path = args.out
         self.records: list[dict] = []
         self._lines: list[str] = []
+        self.t0 = time.perf_counter()
+
+    def emit(self, values: dict) -> None:
+        """Register the command's result record, stamped with its argv and seed."""
+        self.record(
+            {
+                "command": self.args.command,
+                "argv": self.argv,
+                "values": values,
+                "seed": getattr(self.args, "seed", None),
+                "wall_ms": round((time.perf_counter() - self.t0) * 1000.0, 3),
+                "version": __version__,
+            }
+        )
 
     def record(self, rec: dict, quiet: bool = False) -> None:
         """Register a record; ``quiet`` keeps it out of the printed stream."""
@@ -173,33 +176,20 @@ class Emitter:
             sys.stdout.write(payload)
 
 
-def make_record(args, argv: Sequence[str], values: dict, seed=None, t0: float = 0.0) -> dict:
-    return {
-        "command": args.command,
-        "argv": list(argv),
-        "values": values,
-        "seed": seed,
-        "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        "version": __version__,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
 
-def cmd_construct(args, argv, em: Emitter) -> int:
+def cmd_construct(args, em: Emitter) -> int:
     G, labels = build_from_spec(args.spec)
     em.raw(write_graph_text(G, labels=labels if args.emit_labels else None))
     return 0
 
 
-def cmd_alpha(args, argv, em: Emitter) -> int:
-    t0 = time.perf_counter()
+def cmd_alpha(args, em: Emitter) -> int:
     G, labels = load_graph(args)
-    budget = default_budget(args.budget, 20_000_000)
-    res = max_independent_set(G, budget=budget)
+    res = max_independent_set(G, budget=args.budget)
     witness = list(res.witness.indices())
     values = {
         "n": G.n,
@@ -210,12 +200,11 @@ def cmd_alpha(args, argv, em: Emitter) -> int:
     }
     if labels:
         values["witness_labels"] = [labels[v] for v in witness]
-    em.record(make_record(args, argv, values, t0=t0))
+    em.emit(values)
     return 0
 
 
-def cmd_hatgame(args, argv, em: Emitter) -> int:
-    t0 = time.perf_counter()
+def cmd_hatgame(args, em: Emitter) -> int:
     if args.players < 1:
         raise UsageError("need at least one player")
     fam = winning_family(args.kind, args.hats)
@@ -224,7 +213,7 @@ def cmd_hatgame(args, argv, em: Emitter) -> int:
     elif args.players == 2:
         if args.mode == "lower":
             raise UsageError("two-player values are computed exactly; use --mode exact")
-        gv = exact_value_two_players(fam, budget=default_budget(args.budget, 2_000_000))
+        gv = exact_value_two_players(fam, budget=args.budget)
     else:
         if args.mode == "exact":
             raise UsageError("exact mode stops at 2 players; use --mode lower for t >= 3")
@@ -241,12 +230,11 @@ def cmd_hatgame(args, argv, em: Emitter) -> int:
     }
     if gv.witness is not None:
         values["witness_tables"] = [list(tb) for tb in gv.witness.tables]
-    em.record(make_record(args, argv, values, seed=args.seed, t0=t0))
+    em.emit(values)
     return 0
 
 
-def cmd_blockers(args, argv, em: Emitter) -> int:
-    t0 = time.perf_counter()
+def cmd_blockers(args, em: Emitter) -> int:
     if args.action == "schedule":
         values = {
             "levels": [
@@ -254,11 +242,9 @@ def cmd_blockers(args, argv, em: Emitter) -> int:
                 for s in blocker_schedule(args.max_level)
             ]
         }
-        em.record(make_record(args, argv, values, t0=t0))
+        em.emit(values)
         return 0
     if args.action == "build":
-        if args.level != 2:
-            raise UsageError("only level-2 blocker families are materializable at desk scale")
         base = pair_blockers(args.bits)
         tuples = build_ell_tuples(
             args.bits, 2, seed=args.seed, target_measure=args.target_measure
@@ -267,53 +253,51 @@ def cmd_blockers(args, argv, em: Emitter) -> int:
         values = {"family": family_to_json(fam), "num_tuples": len(tuples.tuples)}
         if args.verify:
             wf = winning_family("dictator", args.bits)
-            budget = default_budget(args.budget, 5_000_000)
             verdicts = [
-                verify_blocker(args.bits, 2, b, wf, budget=budget).is_blocker
+                verify_blocker(args.bits, 2, b, wf, budget=args.budget).is_blocker
                 for b in fam.blockers
             ]
             values["verified"] = all(verdicts)
             values["verdicts"] = verdicts
-        em.record(make_record(args, argv, values, seed=args.seed, t0=t0))
+        em.emit(values)
         return 0
-    if args.action == "verify":
-        with open(args.file) as fh:
-            payload = json.load(fh)
-        is_family = isinstance(payload, dict) and isinstance(payload.get("blockers"), list)
-        candidates = payload["blockers"] if is_family else [payload]
-        wf = None
-        budget = default_budget(args.budget, 5_000_000)
-        results = []
-        for cand in candidates:
-            n, t, tuples = tuples_from_json(cand)
-            if wf is None or wf.n != n:
-                wf = winning_family(args.kind, n)
-            res = verify_blocker(n, t, tuples, wf, budget=budget)
-            results.append(
-                {
-                    "n": n,
-                    "t": t,
-                    "size": len(tuples),
-                    "is_blocker": res.is_blocker,
-                    "nodes": res.nodes,
-                    "counterexample": None
-                    if res.counterexample is None
-                    else {
-                        str(player): {
-                            ",".join(point_to_str(x, n) for x in view): g
-                            for view, g in table.items()
-                        }
-                        for player, table in res.counterexample.items()
-                    },
-                }
-            )
-        em.record(make_record(args, argv, {"results": results}, t0=t0))
-        return 0
-    raise ValueError(f"unknown blockers action {args.action!r}")
+    # verify
+    with open(args.file) as fh:
+        payload = json.load(fh)
+    is_family = isinstance(payload, dict) and isinstance(payload.get("blockers"), list)
+    candidates = payload["blockers"] if is_family else [payload]
+    if not candidates:
+        raise ValueError("a blocker family needs a nonempty blockers array")
+    wf = None
+    results = []
+    for cand in candidates:
+        n, t, tuples = tuples_from_json(cand)
+        if wf is None or wf.n != n:
+            wf = winning_family(args.kind, n)
+        res = verify_blocker(n, t, tuples, wf, budget=args.budget)
+        results.append(
+            {
+                "n": n,
+                "t": t,
+                "size": len(tuples),
+                "is_blocker": res.is_blocker,
+                "nodes": res.nodes,
+                "counterexample": None
+                if res.counterexample is None
+                else {
+                    str(player): {
+                        ",".join(point_to_str(x, n) for x in view): g
+                        for view, g in table.items()
+                    }
+                    for player, table in res.counterexample.items()
+                },
+            }
+        )
+    em.emit({"results": results})
+    return 0
 
 
-def cmd_subgraph(args, argv, em: Emitter) -> int:
-    t0 = time.perf_counter()
+def cmd_subgraph(args, em: Emitter) -> int:
     G, _ = load_graph(args)
     if args.action == "alphastarstar":
         if args.mc:
@@ -330,7 +314,7 @@ def cmd_subgraph(args, argv, em: Emitter) -> int:
             res = alpha_star_star_exact(G)
             values = {"mode": res.mode, "estimate": frac_str(res.estimate)}
         values["fingerprint"] = res.fingerprint
-        em.record(make_record(args, argv, values, seed=args.seed, t0=t0))
+        em.emit(values)
         return 0
     if args.action == "hajnal":
         rep = hajnal_check(G, cap=args.cap)
@@ -340,7 +324,7 @@ def cmd_subgraph(args, argv, em: Emitter) -> int:
             "union_size": rep.union_size,
             "pass": rep.passed,
         }
-        em.record(make_record(args, argv, values, t0=t0))
+        em.emit(values)
         return 0
     if args.action == "removal":
         trace = removal_trace(G, args.target_size, args.seed, args.threshold)
@@ -359,36 +343,35 @@ def cmd_subgraph(args, argv, em: Emitter) -> int:
             "stderr": rep.stderr,
             "pass": rep.passed,
         }
-        em.record(make_record(args, argv, values, seed=args.seed, t0=t0))
+        em.emit(values)
         return 0
-    if args.action == "partition-bound":
-        with open(args.partition_file) as fh:
-            parts = json.load(fh)
-        partition = [VertexSet.from_indices(G.n, p) for p in parts]
-        sampler = "binomial"
-        if args.sampler.startswith("rv:"):
-            sampler = winning_family(args.sampler[3:], args.hats)
-        mode = "exact" if args.exact else ("mc" if args.mc else "auto")
-        res = partition_bound_eval(
-            G, partition, sampler=sampler, samples=args.samples, seed=args.seed or 0, mode=mode
-        )
-        values = {
-            "r": res.r,
-            "sampler": res.sampler,
-            "mode": res.mode,
-            "estimate": frac_str(res.estimate) if res.mode == "exact" else float(res.estimate),
-            "stderr": res.stderr,
-        }
-        em.record(make_record(args, argv, values, seed=args.seed, t0=t0))
-        return 0
-    raise ValueError(f"unknown subgraph action {args.action!r}")
+    # partition-bound
+    if not args.exact and args.seed is None:
+        raise UsageError("--seed is required unless --exact is given")
+    with open(args.partition_file) as fh:
+        parts = json.load(fh)
+    partition = [VertexSet.from_indices(G.n, p) for p in parts]
+    sampler = args.sampler
+    if sampler != "binomial":
+        sampler = winning_family(sampler[len("rv:"):], args.hats)
+    mode = "exact" if args.exact else ("mc" if args.mc else "auto")
+    res = partition_bound_eval(
+        G, partition, sampler=sampler, samples=args.samples, seed=args.seed, mode=mode
+    )
+    values = {
+        "r": res.r,
+        "sampler": res.sampler,
+        "mode": res.mode,
+        "estimate": frac_str(res.estimate) if res.mode == "exact" else float(res.estimate),
+        "stderr": res.stderr,
+    }
+    em.emit(values)
+    return 0
 
 
-def cmd_hitting(args, argv, em: Emitter) -> int:
-    t0 = time.perf_counter()
+def cmd_hitting(args, em: Emitter) -> int:
     G, labels = load_graph(args)
-    budget = default_budget(args.budget, 5_000_000)
-    res = h_of_graph(G, cap=args.cap, budget=budget, threshold_eps=args.threshold)
+    res = h_of_graph(G, cap=args.cap, budget=args.budget, threshold_eps=args.threshold)
     witness = list(res.witness.indices())
     values = {
         "h": res.h,
@@ -404,14 +387,13 @@ def cmd_hitting(args, argv, em: Emitter) -> int:
     if spec.startswith("cayley:") and int(power or 1) == 1:
         m, t = map(int, spec[len("cayley:"):].split(","))
         values["covering_code_ok"] = covering_code_check(m, m // 2 - t, witness)
-    em.record(make_record(args, argv, values, t0=t0))
+    em.emit(values)
     return 0
 
 
-def cmd_suite(args, argv, em: Emitter) -> int:
+def cmd_suite(args, em: Emitter) -> int:
     from .acceptance import ALL_CHECKS
 
-    t0 = time.perf_counter()
     all_pass = True
     done = 0
     for check in ALL_CHECKS:
@@ -435,7 +417,7 @@ def cmd_suite(args, argv, em: Emitter) -> int:
         )
     print(
         f"{'ALL PASS' if all_pass else 'FAILURES PRESENT'}: "
-        f"{done}/{len(ALL_CHECKS)} criteria ({time.perf_counter() - t0:.1f}s)"
+        f"{done}/{len(ALL_CHECKS)} criteria ({time.perf_counter() - em.t0:.1f}s)"
     )
     return 0 if all_pass else 1
 
@@ -443,6 +425,9 @@ def cmd_suite(args, argv, em: Emitter) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+BUDGET_HELP = "search node budget (default: %(default)s)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="exact maximum independent set")
     p.add_argument("--graph")
     p.add_argument("--construct")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=BUDGET_HELP)
 
     p = sub.add_parser("hatgame", help="game values for a winning family")
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--players", type=int, required=True)
     p.add_argument("--hats", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "lower"), default="exact")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_TABLE_BUDGET, help=BUDGET_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--restarts", type=int, default=4)
 
@@ -475,17 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = p.add_subparsers(dest="action", required=True)
     b = bsub.add_parser("schedule")
     b.add_argument("--max-level", type=int, required=True)
-    b = bsub.add_parser("build")
-    b.add_argument("--level", type=int, default=2)
+    b = bsub.add_parser("build", help="a level-2 family, the level materializable at desk scale")
     b.add_argument("--bits", type=int, required=True)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--target-measure", type=parse_fraction)
     b.add_argument("--verify", action="store_true")
-    b.add_argument("--budget", type=int)
+    b.add_argument("--budget", type=int, default=DEFAULT_VERIFY_BUDGET, help=BUDGET_HELP)
     b = bsub.add_parser("verify")
     b.add_argument("--file", required=True)
     b.add_argument("--kind", choices=KINDS, default="dictator")
-    b.add_argument("--budget", type=int)
+    b.add_argument("--budget", type=int, default=DEFAULT_VERIFY_BUDGET, help=BUDGET_HELP)
 
     p = sub.add_parser("subgraph", help="random induced-subgraph statistics")
     ssub = p.add_subparsers(dest="action", required=True)
@@ -512,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             s.add_argument("--partition-file", required=True)
             s.add_argument("--sampler", default="binomial",
-                           help="binomial or rv:KIND (winning-family index sampler)")
+                           choices=("binomial",) + tuple(f"rv:{kind}" for kind in KINDS),
+                           help="rv:KIND samples the index sets of a winning family")
             s.add_argument("--hats", type=int, default=2)
             s.add_argument("--samples", type=int, default=2000)
             s.add_argument("--seed", type=int)
@@ -521,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph")
     p.add_argument("--construct")
     p.add_argument("--threshold", type=parse_fraction)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_HIT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--cap", type=int, default=200_000)
 
     p = sub.add_parser("suite", help="run the acceptance battery")
@@ -549,9 +534,9 @@ def run(argv: Sequence[str], capture: bool = False) -> tuple[int, list[dict]]:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    em = Emitter(args.out)
+    em = Emitter(args, argv)
     try:
-        status = HANDLERS[args.command](args, argv, em)
+        status = HANDLERS[args.command](args, em)
     except (
         UsageError,
         BudgetExceededError,

@@ -2,9 +2,10 @@
 
 ``h(G)`` is the least number of vertices meeting every maximum independent
 set of G.  The engine is enumeration-first: materialize the target sets,
-then run branch and bound (branch on a smallest unhit set, lower-bound by a
-greedily packed disjoint sub-collection, seed the incumbent with greedy
-max-coverage).  Deterministic tie-breaks by least vertex index throughout.
+then run branch and bound on an explicit stack (branch on a smallest unhit
+set, lower-bound by a greedily packed disjoint sub-collection, seed the
+incumbent with greedy max-coverage).  Deterministic tie-breaks by least
+vertex index throughout.
 """
 
 from __future__ import annotations
@@ -74,8 +75,10 @@ def min_hitting_set(
 ) -> HittingSetResult:
     """Exact minimum hitting set of the given collection.
 
-    On budget exhaustion the best hitting set found so far (at worst the
-    greedy seed) is returned with ``exact=False``.
+    Depth-first branch and bound on an explicit stack of (chosen mask,
+    chosen size, unhit sets) nodes; a node's children go on the stack at
+    once, first child on top.  On budget exhaustion the best hitting set
+    found so far (at worst the greedy seed) is returned with ``exact=False``.
     """
     if not sets:
         raise ValueError("need a nonempty collection of target sets")
@@ -88,37 +91,29 @@ def min_hitting_set(
     best_size = len(greedy)
     root_cert = _packing_bound(masks)
     nodes = 0
-    exhausted = False
-
-    def dfs(chosen_mask: int, chosen_size: int, unhit: list[int]) -> None:
-        nonlocal best_mask, best_size, nodes, exhausted
-        if exhausted:
-            return
+    stack = [(0, 0, masks)]
+    while stack:
+        chosen_mask, chosen_size, unhit = stack.pop()
         nodes += 1
         if nodes > budget:
-            exhausted = True
-            return
+            break
         if not unhit:
             if chosen_size < best_size:
                 best_size = chosen_size
                 best_mask = chosen_mask
-            return
+            continue
         if chosen_size + _packing_bound(unhit) >= best_size:
-            return
+            continue
         # branch on the elements of a smallest unhit set (first on ties)
         pivot = min(unhit, key=lambda m: m.bit_count())
-        for v in iter_bits(pivot):
-            bit = 1 << v
-            rest = [m for m in unhit if not m & bit]
-            dfs(chosen_mask | bit, chosen_size + 1, rest)
-
-    dfs(0, 0, masks)
+        for bit in reversed([1 << v for v in iter_bits(pivot)]):
+            stack.append((chosen_mask | bit, chosen_size + 1, [m for m in unhit if not m & bit]))
     return HittingSetResult(
         h=best_size,
         witness=VertexSet(universe, best_mask),
         num_targets=len(sets),
         lower_bound_cert=root_cert,
-        exact=not exhausted,
+        exact=nodes <= budget,
         nodes=nodes,
     )
 

@@ -2,20 +2,29 @@
 
 Everything here is deliberately naive: direct enumeration, per-tuple
 simulation, size-ordered subset search.  None of it shares code with the
-package's branch-and-bound or coloring machinery.
+package's branch-and-bound or coloring machinery.  The ``reference_*``
+searches are the package's earlier recursive versions, kept to pin node
+counts and tie-breaks; ``reference_min_hitting_set`` reuses the package's
+greedy seed and packing bound, which it does not test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from hatlab.bits import iter_bits, iter_submasks
 from hatlab.blockers import DEFAULT_VERIFY_BUDGET, PointTuple, VerifyResult
 from hatlab.errors import BudgetExceededError
-from hatlab.graph_core import Graph
+from hatlab.graph_core import Graph, VertexSet
 from hatlab.hat_game import Strategy, WinningFamily, view_index
+from hatlab.hitting_sets import (
+    DEFAULT_HIT_BUDGET,
+    HittingSetResult,
+    _packing_bound,
+    greedy_hitting,
+)
 
 
 def is_independent(G: Graph, mask: int) -> bool:
@@ -297,3 +306,61 @@ def reference_verify_blocker(
             counterexample.setdefault(i, {})[view] = assignment[k]
         return VerifyResult(False, counterexample, nodes)
     return VerifyResult(True, None, nodes)
+
+
+def reference_min_hitting_set(
+    sets: Sequence[VertexSet], universe: int, budget: int = DEFAULT_HIT_BUDGET
+) -> HittingSetResult:
+    """Exact minimum hitting set of the given collection.
+
+    The recursive search that ``hatlab.hitting_sets.min_hitting_set``
+    replaced: the same node order, pruning test, node count, witness and
+    certificate.
+
+    On budget exhaustion the best hitting set found so far (at worst the
+    greedy seed) is returned with ``exact=False``.
+    """
+    if not sets:
+        raise ValueError("need a nonempty collection of target sets")
+    masks = [s.bits for s in sets]
+    if any(m == 0 for m in masks):
+        raise ValueError("an empty target set cannot be hit")
+
+    greedy = greedy_hitting(sets, universe)
+    best_mask = greedy.bits
+    best_size = len(greedy)
+    root_cert = _packing_bound(masks)
+    nodes = 0
+    exhausted = False
+
+    def dfs(chosen_mask: int, chosen_size: int, unhit: list[int]) -> None:
+        nonlocal best_mask, best_size, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if not unhit:
+            if chosen_size < best_size:
+                best_size = chosen_size
+                best_mask = chosen_mask
+            return
+        if chosen_size + _packing_bound(unhit) >= best_size:
+            return
+        # branch on the elements of a smallest unhit set (first on ties)
+        pivot = min(unhit, key=lambda m: m.bit_count())
+        for v in iter_bits(pivot):
+            bit = 1 << v
+            rest = [m for m in unhit if not m & bit]
+            dfs(chosen_mask | bit, chosen_size + 1, rest)
+
+    dfs(0, 0, masks)
+    return HittingSetResult(
+        h=best_size,
+        witness=VertexSet(universe, best_mask),
+        num_targets=len(sets),
+        lower_bound_cert=root_cert,
+        exact=not exhausted,
+        nodes=nodes,
+    )

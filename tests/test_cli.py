@@ -3,10 +3,12 @@ import json
 import pytest
 
 from hatlab import cli
-from hatlab.cli import build_from_spec, run
+from hatlab.blockers import DEFAULT_VERIFY_BUDGET
+from hatlab.cli import build_from_spec, build_parser, run
 from hatlab.constructions import kneser_hypercube, shift_graph
-from hatlab.graph_core import make_graph, parse_graph_text
-from hatlab.hitting_sets import h_of_graph
+from hatlab.graph_core import DEFAULT_NODE_BUDGET, make_graph, parse_graph_text
+from hatlab.hat_game import DEFAULT_TABLE_BUDGET
+from hatlab.hitting_sets import DEFAULT_HIT_BUDGET, h_of_graph
 
 
 def run_capture(argv):
@@ -228,11 +230,17 @@ def test_handler_usage_errors_exit_2():
         ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--mode", "lower"],
         ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "1", "--mode", "lower"],
         ["hatgame", "--kind", "dictator", "--players", "0", "--hats", "1"],
-        ["blockers", "build", "--level", "3", "--bits", "4", "--seed", "1"],
         ["subgraph", "alphastarstar", "--construct", "gnp:8,0.3,1", "--mc"],
     ):
         status, _ = run_capture(argv)
         assert status == 2, argv
+
+
+def test_blockers_build_has_no_level_flag():
+    # level 2 is the only materializable level, so there is nothing to choose
+    with pytest.raises(SystemExit) as exc:
+        run(["blockers", "build", "--level", "3", "--bits", "4", "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_exact_and_mc_are_mutually_exclusive(tmp_path):
@@ -246,6 +254,41 @@ def test_exact_and_mc_are_mutually_exclusive(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--exact", "--mc"])
         assert exc.value.code == 2
+
+
+def test_partition_bound_sampler_is_a_choice(tmp_path):
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0, 1, 2], [3, 4]]))
+    argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
+            "--partition-file", str(ppath), "--seed", "1", "--sampler"]
+    status, records = run_capture(argv + ["rv:dictator"])
+    assert status == 0 and records[0]["values"]["sampler"] == "r_v(dictator)"
+    for sampler in ("foo", "rv:bogus"):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [sampler])
+        assert exc.value.code == 2, sampler
+
+
+def test_partition_bound_needs_seed_unless_exact(tmp_path):
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
+    argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
+            "--partition-file", str(ppath)]
+    for mode in ([], ["--mc"]):
+        status, _ = run_capture(argv + mode)
+        assert status == 2, mode
+        status, records = run_capture(argv + mode + ["--seed", "3"])
+        assert status == 0 and records[0]["seed"] == 3, mode
+    status, records = run_capture(argv + ["--exact"])
+    assert status == 0 and records[0]["seed"] is None
+
+
+def test_blockers_verify_empty_family_exits_1(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"blockers": []}))
+    status, records = run_capture(["blockers", "verify", "--file", str(path)])
+    assert status == 1 and records == []
+    assert capsys.readouterr().err.startswith("hatlab: error: ")
 
 
 def test_budget_exhaustion_names_certified_interval(capsys):
@@ -270,11 +313,24 @@ def test_record_replay_reproduces_values():
         assert strip_volatile(first) == strip_volatile(second)
 
 
-def test_budget_env_var_respected(monkeypatch):
+def test_budget_env_var_is_ignored(monkeypatch):
+    # a record replays from its argv alone: no environment variable sets a budget
+    argv = ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "3"]
+    _, plain = run_capture(argv)
     monkeypatch.setenv("HATLAB_BUDGET_MS", "1")
-    # 100 nodes is far too few for this search; must fail loudly with exit 1
-    status, _ = run_capture(["alpha", "--construct", "gnp:60,0.15,3"])
-    assert status == 1
-    monkeypatch.delenv("HATLAB_BUDGET_MS")
-    status, _ = run_capture(["alpha", "--construct", "gnp:20,0.15,3"])
-    assert status == 0
+    status, records = run_capture(argv)
+    assert status == 0 and strip_volatile(records) == strip_volatile(plain)
+    assert records[0]["values"]["value"] == "11/32"
+    assert records[0]["values"]["mode"] == "exact"
+
+
+def test_budget_defaults_are_the_library_budgets():
+    parser = build_parser()
+    for argv, budget in (
+        (["alpha"], DEFAULT_NODE_BUDGET),
+        (["hatgame", "--kind", "dictator", "--players", "2", "--hats", "2"], DEFAULT_TABLE_BUDGET),
+        (["blockers", "build", "--bits", "4", "--seed", "1"], DEFAULT_VERIFY_BUDGET),
+        (["blockers", "verify", "--file", "f.json"], DEFAULT_VERIFY_BUDGET),
+        (["hitting"], DEFAULT_HIT_BUDGET),
+    ):
+        assert parser.parse_args(argv).budget == budget, argv

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ from hatlab.hitting_sets import (
     h_of_graph,
     min_hitting_set,
 )
+from hatlab.rng import randrange
 
-from oracles import brute_min_hitting
+from oracles import brute_min_hitting, reference_min_hitting_set
 
 C5 = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
 
@@ -64,6 +66,40 @@ def test_budget_exhaustion_returns_inexact_upper_bound():
     assert not res.exact
     assert all(s.bits & res.witness.bits for s in sets)
     assert res.h >= min_hitting_set(sets, 5).h
+
+
+def _outcome(res):
+    return (res.h, res.witness.bits, res.nodes, res.exact, res.lower_bound_cert, res.num_targets)
+
+
+def test_search_matches_reference_recursion():
+    exact_seen = set()
+    for c in range(60):
+        universe = 4 + randrange(11, 31, c, 0)
+        sets = []
+        for j in range(1 + randrange(20, 31, c, 1)):
+            size = 1 + randrange(4, 31, c, 2, j)
+            sets.append(vs(universe, *(randrange(universe, 31, c, 3, j, k) for k in range(size))))
+        for budget in (1, 3, 10, 40, 200, 5_000_000):
+            got = min_hitting_set(sets, universe, budget=budget)
+            assert _outcome(got) == _outcome(reference_min_hitting_set(sets, universe, budget=budget))
+            exact_seen.add(got.exact)
+    assert exact_seen == {True, False}
+
+
+def test_deep_search_needs_no_recursion():
+    # 120 disjoint triangles: every edge is a target, and the search goes
+    # one level deeper per chosen vertex, about 240 levels
+    sets = [vs(360, 3 * i + a, 3 * i + b) for i in range(120) for a, b in ((0, 1), (1, 2), (0, 2))]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        res = min_hitting_set(sets, 360, budget=2000)
+        assert sys.getrecursionlimit() == 200
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _outcome(res) == _outcome(reference_min_hitting_set(sets, 360, budget=2000))
+    assert (res.h, res.nodes, res.exact, res.lower_bound_cert) == (240, 2001, False, 120)
 
 
 # -- greedy ------------------------------------------------------------------
