@@ -18,7 +18,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .bits import point_to_str, str_to_point
-from .errors import BudgetExceededError, RetryLimitError
+from .errors import BudgetExceededError, RetryLimitError, SizeLimitError
 from .hat_game import WinningFamily
 from .rng import randrange
 
@@ -89,9 +89,14 @@ class TupleFamily:
 
 
 def blocker_schedule(d_max: int) -> list[BlockerSchedule]:
-    """Exact schedule values for levels 1..d_max (arbitrary precision)."""
+    """Exact schedule values for levels 1..d_max (arbitrary precision).
+
+    Levels stop at 3: level 4 needs C(2k, k) at k = 32,449,872 (~2e7 digits).
+    """
     if d_max < 1:
         raise ValueError("need d_max >= 1")
+    if d_max > 3:
+        raise SizeLimitError(f"schedule levels past 3 need C(2k, k) at k = 32,449,872; got {d_max}")
     out = [BlockerSchedule(1, 2, Fraction(1), None)]
     for d in range(2, d_max + 1):
         prev = out[-1]

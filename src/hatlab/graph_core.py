@@ -191,19 +191,31 @@ def _search(
 ) -> list[int]:
     """Coloring branch and bound over complement cliques inside nonempty P.
 
+    The candidates isolated in G[P] lie in every maximum set, so the root
+    frame takes them all at once instead of one branch level each.  They
+    are universal in the complement, so each would be a singleton color
+    class: the rest of the tree, its witnesses and its bounds are the same.
+
     Stack frames are [clique, size, candidates, color order, color bounds,
     next index]; a frame is dropped once ``size + bound < need``.  With
     ``alpha`` None (maximum search) each leaf past the floor is kept and
     raises ``need``, so the last mask is the witness; with ``alpha`` given
     every clique of that size is kept, up to ``cap``.  Exhaustion certifies
-    alpha in [floor, root color count], or [alpha, alpha].
+    alpha in [floor, isolated count + root color count], or [alpha, alpha].
     """
+    iso = 0
+    for v in iter_bits(P):
+        if P & ~rows[v] == 1 << v:
+            iso |= 1 << v
+    if iso == P:
+        return [iso]
     found: list[int] = []
     need = 1 if alpha is None else alpha
     nodes = 0
-    order, bound = _color_bound(P, rows)
-    upper = bound[-1] if alpha is None else alpha
-    stack = [[0, 0, P, order, bound, len(order)]]
+    order, bound = _color_bound(P ^ iso, rows)
+    k = iso.bit_count()
+    upper = k + bound[-1] if alpha is None else alpha
+    stack = [[iso, k, P ^ iso, order, bound, len(order)]]
     while stack:
         frame = stack[-1]
         r_mask, r_size, local, order, bound, i = frame
@@ -322,7 +334,9 @@ def subset_alpha(G: Graph, W: int) -> int:
     """alpha(G[W]) for the vertex mask W, without building G[W].
 
     Same search, node count and default budget as ``max_independent_set``
-    on the induced subgraph.
+    on the induced subgraph: the vertices isolated in G[W] are taken at the
+    root, and the certified upper bound is their count plus the root color
+    count of the rest.  A sparse random W is mostly isolated vertices.
     """
     if W < 0 or W >> G.n:
         raise ValueError("vertex mask out of range for the graph")

@@ -32,7 +32,7 @@ from .graph_core import (
     subset_alpha_table,
 )
 from .hat_game import WinningFamily
-from .rng import coin, randrange
+from .rng import coin_mask, randrange
 
 EXACT_SUBSET_GUARD = 15
 EXACT_PARTS_GUARD = 20
@@ -163,11 +163,7 @@ def alpha_star_star_mc(G: Graph, samples: int, seed: int) -> AlphaStarStarResult
     n = G.n
     values = []
     for s in range(samples):
-        mask = 0
-        for v in range(n):
-            if coin(seed, s, v):
-                mask |= 1 << v
-        values.append(Fraction(_alpha_of_subset(G, mask)))
+        values.append(Fraction(_alpha_of_subset(G, coin_mask(n, seed, s))))
     mean, stderr = _mean_and_stderr(values, n)
     return AlphaStarStarResult(graph_fingerprint(G), n, "monte_carlo", mean, stderr, samples, seed)
 
@@ -335,9 +331,8 @@ def partition_bound_eval(
     for s in range(samples):
         U = 0
         if family is None:
-            for i in range(r):
-                if coin(seed, s, i):
-                    U |= masks[i]
+            for i in iter_bits(coin_mask(r, seed, s)):
+                U |= masks[i]
         else:
             v = randrange(1 << family.n, seed, s)
             for i in range(r):

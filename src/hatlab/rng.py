@@ -34,6 +34,19 @@ def coin(seed: int, *indices: int) -> bool:
     return u64(seed, *indices) < (1 << 63)
 
 
+def coin_mask(n: int, seed: int, *indices: int) -> int:
+    """n fair coins as a mask: bit v is ``coin(seed, *indices, v)``.
+
+    The shared prefix is hashed once, so each bit costs one mix.
+    """
+    h = u64(seed, *indices)
+    mask = 0
+    for v in range(n):
+        if _mix(h ^ ((v * _MULT) & _M64)) < (1 << 63):
+            mask |= 1 << v
+    return mask
+
+
 def chance(p: float, seed: int, *indices: int) -> bool:
     """Event of probability ``p`` (up to 2^-64 rounding) keyed as above."""
     if p <= 0.0:

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: direct enumeration, per-tuple
 simulation, size-ordered subset search.  None of it shares code with the
 package's branch-and-bound or coloring machinery.  The ``reference_*``
-searches are the package's earlier recursive versions, kept to pin node
-counts and tie-breaks; ``reference_min_hitting_set`` reuses the package's
-greedy seed and packing bound, which it does not test.
+searches are the package's earlier versions, kept to pin node counts and
+tie-breaks: the recursive blocker and hitting-set searches, and the MIS
+search before its root reduction.  ``reference_min_hitting_set`` reuses
+the package's greedy seed and packing bound, which it does not test.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Iterable, Sequence
 
 from hatlab.bits import iter_bits, iter_submasks
 from hatlab.blockers import DEFAULT_VERIFY_BUDGET, PointTuple, VerifyResult
-from hatlab.errors import BudgetExceededError
-from hatlab.graph_core import Graph, VertexSet
+from hatlab.errors import BudgetExceededError, CapExceededError
+from hatlab.graph_core import DEFAULT_ENUM_CAP, Graph, VertexSet
 from hatlab.hat_game import Strategy, WinningFamily, view_index
 from hatlab.hitting_sets import (
     DEFAULT_HIT_BUDGET,
@@ -364,3 +365,82 @@ def reference_min_hitting_set(
         exact=not exhausted,
         nodes=nodes,
     )
+
+
+def reference_color_bound(P: int, rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Greedy coloring of P in the complement view.
+
+    Returns vertices ordered by color class and the per-vertex class number;
+    a clique can use at most one vertex per class, so the class number of a
+    vertex bounds any clique inside the vertices ordered up to it.
+    """
+    order: list[int] = []
+    bound: list[int] = []
+    color = 0
+    rest = P
+    while rest:
+        color += 1
+        q = rest
+        while q:
+            v = (q & -q).bit_length() - 1
+            bit = 1 << v
+            q &= ~rows[v]
+            q ^= bit
+            rest ^= bit
+            order.append(v)
+            bound.append(color)
+    return order, bound
+
+
+def reference_search(
+    rows: Sequence[int], P: int, budget: int, alpha: int | None = None, cap: int = DEFAULT_ENUM_CAP
+) -> list[int]:
+    """Coloring branch and bound over complement cliques inside nonempty P.
+
+    ``hatlab.graph_core._search`` before it took isolated candidates at
+    the root: the same frames, node order, tie-breaks and bounds, one
+    branch node per isolated vertex.
+
+    Stack frames are [clique, size, candidates, color order, color bounds,
+    next index]; a frame is dropped once ``size + bound < need``.  With
+    ``alpha`` None (maximum search) each leaf past the floor is kept and
+    raises ``need``, so the last mask is the witness; with ``alpha`` given
+    every clique of that size is kept, up to ``cap``.  Exhaustion certifies
+    alpha in [floor, root color count], or [alpha, alpha].
+    """
+    found: list[int] = []
+    need = 1 if alpha is None else alpha
+    nodes = 0
+    order, bound = reference_color_bound(P, rows)
+    upper = bound[-1] if alpha is None else alpha
+    stack = [[0, 0, P, order, bound, len(order)]]
+    while stack:
+        frame = stack[-1]
+        r_mask, r_size, local, order, bound, i = frame
+        i -= 1
+        if i < 0 or r_size + bound[i] < need:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            lower = need - 1 if alpha is None else alpha
+            raise BudgetExceededError(
+                f"independent-set search exceeded {budget} nodes; alpha in [{lower}, {upper}]",
+                lower_bound=lower, upper_bound=upper, nodes=nodes,
+            )
+        v = order[i]
+        bit = 1 << v
+        frame[2], frame[5] = local ^ bit, i
+        child = local & rows[v]
+        if child:
+            c_order, c_bound = reference_color_bound(child, rows)
+            stack.append([r_mask | bit, r_size + 1, child, c_order, c_bound, len(c_order)])
+        elif r_size + 1 >= need:
+            found.append(r_mask | bit)
+            if alpha is None:
+                need = r_size + 2
+            elif len(found) > cap:
+                raise CapExceededError(
+                    f"more than {cap} maximum independent sets", found=len(found)
+                )
+    return found

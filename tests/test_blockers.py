@@ -17,7 +17,7 @@ from hatlab.blockers import (
     verify_blocker,
 )
 from hatlab.cli import run
-from hatlab.errors import BudgetExceededError, RetryLimitError
+from hatlab.errors import BudgetExceededError, RetryLimitError, SizeLimitError
 from hatlab.hat_game import KINDS, exact_value_two_players, winning_family
 from hatlab.rng import randrange
 
@@ -45,6 +45,11 @@ def test_schedule_recursion_shape():
         ell = comb(2 * prev.k, prev.k)
         assert cur.k == prev.k * ell
         assert cur.beta == prev.beta / (2 * ell)
+
+
+def test_schedule_refuses_level_4():
+    with pytest.raises(SizeLimitError):
+        blocker_schedule(4)
 
 
 # -- pair blockers -----------------------------------------------------------

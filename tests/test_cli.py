@@ -92,6 +92,12 @@ def test_blockers_schedule_record():
     assert levels[2]["k"] == "32449872"
 
 
+def test_blockers_schedule_past_level_3_fails_fast(capsys):
+    status, records = run_capture(["blockers", "schedule", "--max-level", "4"])
+    assert (status, records) == (1, [])
+    assert capsys.readouterr().err.startswith("hatlab: error: schedule levels past 3")
+
+
 def test_blockers_build_and_verify_file_round_trip(tmp_path):
     status, records = run_capture(["blockers", "build", "--bits", "4", "--seed", "3"])
     assert status == 0

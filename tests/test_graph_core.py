@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from hatlab.bits import iter_bits
 from hatlab.errors import BudgetExceededError, CapExceededError, GraphFormatError
 from hatlab.graph_core import (
+    DEFAULT_NODE_BUDGET,
     Graph,
     VertexSet,
+    _complement_rows,
     enumerate_maximal_independent_sets,
     enumerate_maximum_independent_sets,
     induced_subgraph,
@@ -18,6 +21,7 @@ from hatlab.graph_core import (
     write_graph_text,
 )
 from hatlab.constructions import cayley_distance_graph, hamming_power, kneser_hypercube, random_gnp
+from hatlab.rng import chance, randrange, u64
 
 from oracles import (
     brute_alpha,
@@ -25,6 +29,7 @@ from oracles import (
     brute_maximum_sets,
     is_independent,
     maximal_intersecting_families,
+    reference_search,
 )
 
 TRIANGLE = make_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -161,9 +166,73 @@ def test_deep_searches_need_no_recursion():
         assert [vs.bits for vs in enumerate_maximum_independent_sets(G)] == [everything]
         assert [vs.bits for vs in enumerate_maximal_independent_sets(G)] == [everything]
         assert max_independent_set(make_graph(2048, [])).alpha == 2048
+        # 500 disjoint paths on three vertices: nothing is isolated, and the
+        # unique maximum set (the path ends) sits 1000 frames down the stack
+        paths = [e for i in range(500) for e in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2))]
+        P3s = make_graph(1500, paths)
+        ends = sum(1 << 3 * i | 1 << 3 * i + 2 for i in range(500))
+        res = max_independent_set(P3s)
+        assert (res.alpha, res.witness.bits) == (1000, ends)
+        assert [vs.bits for vs in enumerate_maximum_independent_sets(P3s)] == [ends]
         assert sys.getrecursionlimit() == 200  # no search touches the limit
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_edgeless_4096_takes_one_node():
+    # the isolated vertices are taken at the root, before any branching
+    assert max_independent_set(make_graph(4096, []), budget=1).alpha == 4096
+
+
+def _differential_graph(g):
+    """Seeded random graph: sparse ones have isolated vertices, some have loops."""
+    n = 1 + randrange(22, 31, g)
+    p = (0.05, 0.1, 0.2, 0.35, 0.6)[g % 5]
+    loop_rate = 0.1 if g % 3 == 0 else 0.0
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if chance(p, 32, g, u, v)]
+    edges += [(v, v) for v in range(n) if chance(loop_rate, 33, g, v)]
+    return make_graph(n, edges)
+
+
+def _search_outcome(search):
+    """The witness mask, or (lower, upper, nodes) when the budget runs out."""
+    try:
+        return search()
+    except BudgetExceededError as e:
+        return (e.lower_bound, e.upper_bound, e.nodes)
+
+
+def test_search_matches_reference_search():
+    huge = 1 << 40
+    with_isolated = budgeted = 0
+    for g in range(1200):
+        G = _differential_graph(g)
+        rows, allowed = _complement_rows(G)
+        res = max_independent_set(G)
+        if not allowed:
+            assert res.alpha == 0
+            continue
+        assert res.witness.bits == reference_search(rows, allowed, huge)[-1]
+        maxima = sorted(reference_search(rows, allowed, huge, res.alpha))
+        assert [vs.bits for vs in enumerate_maximum_independent_sets(G)] == maxima
+        for j in range(3):
+            W = u64(34, g, j) & ((1 << G.n) - 1)
+            P = allowed & W
+            expected = reference_search(rows, P, DEFAULT_NODE_BUDGET)[-1].bit_count() if P else 0
+            assert subset_alpha(G, W) == expected
+        isolated = any(allowed & ~rows[v] == 1 << v for v in iter_bits(allowed))
+        with_isolated += isolated
+        for budget in (1, 3, 10, 40):
+            ref = _search_outcome(lambda: reference_search(rows, allowed, budget)[-1])
+            got = _search_outcome(lambda: max_independent_set(G, budget=budget).witness.bits)
+            budgeted += isinstance(got, tuple)
+            if not isolated:  # nothing to take at the root: the same tree
+                assert got == ref
+            elif isinstance(got, tuple):  # the same leaves, reached in fewer nodes
+                assert isinstance(ref, tuple) and got[1:] == ref[1:] and got[0] >= ref[0]
+            elif isinstance(ref, int):
+                assert got == ref
+    assert with_isolated > 300 and budgeted > 300
 
 
 # -- enumeration of maximum sets ---------------------------------------------

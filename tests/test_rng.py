@@ -1,4 +1,7 @@
-from hatlab.rng import chance, coin, randrange, u64
+from hatlab.constructions import random_gnp
+from hatlab.graph_core import VertexSet
+from hatlab.random_subgraphs import alpha_star_star_mc, partition_bound_eval
+from hatlab.rng import chance, coin, coin_mask, randrange, u64
 
 
 def test_u64_deterministic_and_key_sensitive():
@@ -16,6 +19,30 @@ def test_u64_range():
 def test_coin_roughly_fair():
     heads = sum(coin(123, i) for i in range(20_000))
     assert abs(heads - 10_000) < 500  # ~7 sigma
+
+
+def test_coin_mask_matches_coin_bit_for_bit():
+    wide = (1 << 70) + 12345
+    for n, seed, indices in (
+        (0, 3, (1,)),
+        (1, 0, ()),
+        (64, 9, (2,)),
+        (130, 17, (4, 5)),
+        (200, wide, (7,)),
+        (70, -wide, (0, 1, 2)),
+    ):
+        mask = coin_mask(n, seed, *indices)
+        assert mask >> n == 0
+        assert mask == sum(1 << v for v in range(n) if coin(seed, *indices, v))
+
+
+def test_mc_records_pinned():
+    # captured before the samplers drew their subsets with coin_mask
+    res = alpha_star_star_mc(random_gnp(30, 0.2, seed=3), samples=200, seed=11)
+    assert (res.estimate, res.stderr) == (0.2675, 0.00302084235832996)
+    parts = [VertexSet.from_indices(18, (i, i + 1)) for i in range(0, 18, 2)]
+    res = partition_bound_eval(random_gnp(18, 0.3, seed=4), parts, samples=150, seed=5, mode="mc")
+    assert (res.estimate, res.stderr) == (0.28074074074074074, 0.006538385200519441)
 
 
 def test_chance_extremes():
