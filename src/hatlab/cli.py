@@ -207,6 +207,8 @@ def cmd_alpha(args, em: Emitter) -> int:
 def cmd_hatgame(args, em: Emitter) -> int:
     if args.players < 1:
         raise UsageError("need at least one player")
+    if args.restarts < 1:
+        raise UsageError("need --restarts >= 1")
     fam = winning_family(args.kind, args.hats)
     if args.players == 1:
         gv = exact_value_one_player(fam)
@@ -430,6 +432,13 @@ def cmd_suite(args, em: Emitter) -> int:
 BUDGET_HELP = "search node budget (default: %(default)s)"
 
 
+def _add_graph_source(p: argparse.ArgumentParser) -> None:
+    """--graph FILE or --construct SPEC, at most one (load_graph needs one)."""
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graph")
+    source.add_argument("--construct")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hatlab",
@@ -443,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-labels", action="store_true")
 
     p = sub.add_parser("alpha", help="exact maximum independent set")
-    p.add_argument("--graph")
-    p.add_argument("--construct")
+    _add_graph_source(p)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=BUDGET_HELP)
 
     p = sub.add_parser("hatgame", help="game values for a winning family")
@@ -475,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="action", required=True)
     for action in ("alphastarstar", "hajnal", "removal", "t16", "partition-bound"):
         s = ssub.add_parser(action)
-        s.add_argument("--graph")
-        s.add_argument("--construct")
+        _add_graph_source(s)
         if action in ("alphastarstar", "partition-bound"):
             mode = s.add_mutually_exclusive_group()
             mode.add_argument("--exact", action="store_true")
@@ -503,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--seed", type=int)
 
     p = sub.add_parser("hitting", help="minimum hitting set of maximum independent sets")
-    p.add_argument("--graph")
-    p.add_argument("--construct")
+    _add_graph_source(p)
     p.add_argument("--threshold", type=parse_fraction)
     p.add_argument("--budget", type=int, default=DEFAULT_HIT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--cap", type=int, default=200_000)

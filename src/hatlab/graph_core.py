@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .bits import iter_bits
@@ -109,6 +110,19 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
+    @cached_property
+    def _complement_rows(self) -> tuple[tuple[int, ...], int]:
+        """Complement adjacency restricted to non-self-looped vertices.
+
+        Built on first use and kept with the (immutable) graph, so the many
+        searches of one Monte-Carlo run on the same graph share it.
+        """
+        allowed = ((1 << self.n) - 1) & ~self.loops_mask if self.n else 0
+        rows = [0] * self.n
+        for v in iter_bits(allowed):
+            rows[v] = allowed & ~self.adj[v] & ~(1 << v)
+        return tuple(rows), allowed
+
 
 @dataclass(frozen=True)
 class MISResult:
@@ -150,15 +164,6 @@ def graph_fingerprint(G: Graph) -> str:
 # complement, searched by branch and bound with a greedy-coloring upper
 # bound on the candidate set (the standard exact approach at this scale).
 # ---------------------------------------------------------------------------
-
-
-def _complement_rows(G: Graph) -> tuple[list[int], int]:
-    """Complement adjacency restricted to non-self-looped vertices."""
-    allowed = ((1 << G.n) - 1) & ~G.loops_mask if G.n else 0
-    rows = [0] * G.n
-    for v in iter_bits(allowed):
-        rows[v] = allowed & ~G.adj[v] & ~(1 << v)
-    return rows, allowed
 
 
 def _color_bound(P: int, rows: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -255,7 +260,7 @@ def max_independent_set(G: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MISResul
     branching order.  Raises :class:`BudgetExceededError` carrying the best
     lower/upper bounds when the node budget runs out.
     """
-    rows, allowed = _complement_rows(G)
+    rows, allowed = G._complement_rows
     best = _search(rows, allowed, budget)[-1] if allowed else 0
     alpha = best.bit_count()
     return MISResult(alpha, VertexSet(G.n, best), Fraction(alpha, G.n or 1))
@@ -272,7 +277,7 @@ def enumerate_maximum_independent_sets(
     alpha = max_independent_set(G, budget=budget).alpha
     if alpha == 0:
         return [VertexSet(G.n, 0)]
-    rows, allowed = _complement_rows(G)
+    rows, allowed = G._complement_rows
     return [VertexSet(G.n, m) for m in sorted(_search(rows, allowed, budget, alpha, cap))]
 
 
@@ -285,7 +290,7 @@ def enumerate_maximal_independent_sets(
     children depend only on it and its earlier siblings, so it pushes them
     all at once, first child on top.
     """
-    rows, allowed = _complement_rows(G)
+    rows, allowed = G._complement_rows
     found: list[int] = []
     stack = [(0, allowed, 0)]
     while stack:
@@ -340,7 +345,7 @@ def subset_alpha(G: Graph, W: int) -> int:
     """
     if W < 0 or W >> G.n:
         raise ValueError("vertex mask out of range for the graph")
-    rows, allowed = _complement_rows(G)
+    rows, allowed = G._complement_rows
     P = allowed & W
     return _search(rows, P, DEFAULT_NODE_BUDGET)[-1].bit_count() if P else 0
 

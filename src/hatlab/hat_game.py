@@ -409,40 +409,35 @@ def nested_lower_bound(
 ) -> GameValue:
     """Certified lower bound for the t-player value (t >= 3).
 
-    Start candidates: the best lower-level strategy lifted through the
-    split B^t = B^(t-1) x B (exact two-player witness at the bottom), the
-    all-least-index strategy, and seeded random tables.  Each start is
-    improved by coordinate ascent, and the winner's witness is re-scored by
-    ``winning_set_of_strategy``, which shares no code with the ascent's
-    evaluator, so the bound never depends on the search having behaved.
+    Level by level from 3 to t, the start candidates are the best strategy
+    of the level below lifted through the split B^k = B^(k-1) x B (the
+    exact two-player witness at the bottom), the all-least-index strategy,
+    and restarts - 1 seeded random tables; the same seed and restarts serve
+    every level.  Each start is improved by coordinate ascent, and only the
+    final winner's witness is re-scored by ``winning_set_of_strategy``,
+    which shares no code with the ascent's evaluator, so the bound never
+    depends on the search having behaved.
     """
     if t < 3:
         raise ValueError("nested_lower_bound is for t >= 3; use the exact solvers below that")
+    if restarts < 1:
+        raise ValueError("need restarts >= 1")
     N = 1 << family.n
-    views = N ** (t - 1)
     r = family.r
-
-    starts: list[list[list[int]]] = []
-    # seed strategy from one level down: exact two-player witness when the
-    # table space is small, a budgeted (heuristic) one otherwise
-    below = exact_value_two_players(family, budget=50_000) if t == 3 else nested_lower_bound(
-        family, t - 1, seed=seed, restarts=restarts
-    )
-    if below.witness is not None:
-        starts.append(_lift_strategy(below.witness, N))
-    starts.append([[0] * views for _ in range(t)])
-    for k in range(1, max(1, restarts)):
-        starts.append(
-            [[randrange(r, seed, k, i, v) for v in range(views)] for i in range(t)]
-        )
-
-    best_val = Fraction(-1)
-    best_strat: Strategy | None = None
-    for tables in starts:
-        strat, history = coordinate_ascent(family, t, tables)
-        if history[-1] > best_val:
-            best_val = history[-1]
-            best_strat = strat
+    # exact two-player witness when the table space is small, a budgeted
+    # (heuristic) one otherwise
+    best_strat = exact_value_two_players(family, budget=50_000).witness
+    for k in range(3, t + 1):
+        views = N ** (k - 1)
+        starts = [_lift_strategy(best_strat, N), [[0] * views for _ in range(k)]]
+        for j in range(1, restarts):
+            starts.append([[randrange(r, seed, j, i, v) for v in range(views)] for i in range(k)])
+        best_val = Fraction(-1)
+        for tables in starts:
+            strat, history = coordinate_ascent(family, k, tables)
+            if history[-1] > best_val:
+                best_val = history[-1]
+                best_strat = strat
     # no new size limit: the mask's N^t bits take less memory than the t
     # tables of N^(t-1) entries already held (whenever N < 64 t)
     _, value = winning_set_of_strategy(family, best_strat, mask_guard=N**t)

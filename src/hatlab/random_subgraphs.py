@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import Iterable, Sequence
 
 from .bits import iter_bits
 from .errors import SizeLimitError
@@ -31,7 +31,7 @@ from .graph_core import (
     subset_alpha,
     subset_alpha_table,
 )
-from .hat_game import WinningFamily
+from .hat_game import WinningFamily, r_v_distribution
 from .rng import coin_mask, randrange
 
 EXACT_SUBSET_GUARD = 15
@@ -123,25 +123,34 @@ def _alpha_table_cached(G: Graph) -> tuple[int, ...]:
     return tuple(subset_alpha_table(G))
 
 
-def _alpha_of_subset(G: Graph, mask: int) -> int:
-    if G.n <= EXACT_SUBSET_GUARD:
-        return _alpha_table_cached(G)[mask]
-    return subset_alpha(G, mask)
+def _mean_alpha(G: Graph, masks: Iterable[int], exact: bool) -> tuple[Fraction | float, float | None]:
+    """Mean of alpha(G[W]) / n over the vertex masks W, the one estimator here.
 
-
-def _mean_and_stderr(values: Sequence[Fraction], denom: int) -> tuple[float, float]:
-    """Float mean and standard error of values/denom, computed exactly first.
-
-    Exact rational accumulation makes the result independent of summation
-    order, which keeps Monte-Carlo records bit-identical across runs.
+    alpha(G[W]) is read from the subset table when n <= EXACT_SUBSET_GUARD
+    or the masks are all 2^n subsets, and searched otherwise, once per
+    distinct W (unions of partition parts repeat).  Exact mode returns the
+    Fraction mean and no standard error; Monte-Carlo mode returns the float
+    mean and its standard error.  Both come from exact integer sums, which
+    makes them independent of summation order, so Monte-Carlo records stay
+    bit-identical across runs.
     """
-    s = len(values)
-    total = sum(values)
-    mean = Fraction(total, denom * s) if s else Fraction(0)
+    n = G.n
+    if n <= EXACT_SUBSET_GUARD or masks == range(1 << n):
+        alpha = _alpha_table_cached(G).__getitem__
+    else:
+        alpha = lru_cache(maxsize=None)(partial(subset_alpha, G))
+    s = total = sq = 0
+    for W in masks:
+        a = alpha(W)
+        s += 1
+        total += a
+        sq += a * a
+    mean = Fraction(total, n * s)
+    if exact:
+        return mean, None
     if s < 2:
         return float(mean), 0.0
-    sq = sum(v * v for v in values)
-    var = (Fraction(sq, denom * denom) - Fraction(total * total, denom * denom * s)) / (s - 1)
+    var = (Fraction(sq, n * n) - Fraction(total * total, n * n * s)) / (s - 1)
     return float(mean), math.sqrt(float(var) / s)
 
 
@@ -151,8 +160,7 @@ def alpha_star_star_exact(G: Graph, guard: int = EXACT_SUBSET_GUARD) -> AlphaSta
         raise ValueError("graph must have at least one vertex")
     if G.n > guard:
         raise SizeLimitError(f"exact mode enumerates 2^n subsets; n={G.n} exceeds guard {guard}")
-    table = _alpha_table_cached(G)
-    value = Fraction(sum(table), (1 << G.n) * G.n)
+    value, _ = _mean_alpha(G, range(1 << G.n), exact=True)
     return AlphaStarStarResult(graph_fingerprint(G), G.n, "exact", value, None, 1 << G.n, None)
 
 
@@ -161,10 +169,7 @@ def alpha_star_star_mc(G: Graph, samples: int, seed: int) -> AlphaStarStarResult
     if samples < 1:
         raise ValueError("need samples >= 1")
     n = G.n
-    values = []
-    for s in range(samples):
-        values.append(Fraction(_alpha_of_subset(G, coin_mask(n, seed, s))))
-    mean, stderr = _mean_and_stderr(values, n)
+    mean, stderr = _mean_alpha(G, (coin_mask(n, seed, s) for s in range(samples)), exact=False)
     return AlphaStarStarResult(graph_fingerprint(G), n, "monte_carlo", mean, stderr, samples, seed)
 
 
@@ -281,63 +286,35 @@ def partition_bound_eval(
     """
     masks = _validate_partition(G, partition)
     r = len(masks)
-    n = G.n
     family = sampler if isinstance(sampler, WinningFamily) else None
-    if family is not None and family.r != r:
-        raise ValueError("partition must have one part per winning set")
-    sampler_name = "binomial" if family is None else f"r_v({family.kind})"
+    if family is None:
+        sampler_name = "binomial"
+        space: Sequence[int] = range(1 << r)
+    else:
+        if family.r != r:
+            raise ValueError("partition must have one part per winning set")
+        sampler_name = f"r_v({family.kind})"
+        space = [sum(1 << i for i in r_v_distribution(family, v)) for v in range(1 << family.n)]
 
     if mode == "auto":
-        exact_ok = r <= EXACT_PARTS_GUARD and n <= EXACT_SUBSET_GUARD
+        exact_ok = r <= EXACT_PARTS_GUARD and G.n <= EXACT_SUBSET_GUARD
         mode = "exact" if exact_ok else "mc"
     if mode == "exact":
-        if family is None:
-            if r > EXACT_PARTS_GUARD:
-                raise SizeLimitError(f"exact mode enumerates 2^r index sets; r={r} exceeds {EXACT_PARTS_GUARD}")
-            total = Fraction(0)
-            cache: dict[int, int] = {}
-            for R in range(1 << r):
-                U = 0
-                for i in iter_bits(R):
-                    U |= masks[i]
-                a = cache.get(U)
-                if a is None:
-                    a = _alpha_of_subset(G, U)
-                    cache[U] = a
-                total += a
-            value = Fraction(total, (1 << r) * n)
-        else:
-            space = 1 << family.n
-            cache = {}
-            total = Fraction(0)
-            for v in range(space):
-                U = 0
-                for i in range(r):
-                    if (family.sets[i] >> v) & 1:
-                        U |= masks[i]
-                a = cache.get(U)
-                if a is None:
-                    a = _alpha_of_subset(G, U)
-                    cache[U] = a
-                total += a
-            value = Fraction(total, space * n)
-        return PartitionBoundResult(r, sampler_name, "exact", value, None, 0, None)
-
-    if mode != "mc":
+        if family is None and r > EXACT_PARTS_GUARD:
+            raise SizeLimitError(f"exact mode enumerates 2^r index sets; r={r} exceeds {EXACT_PARTS_GUARD}")
+        index_sets: Iterable[int] = space
+    elif mode == "mc":
+        if samples < 1:
+            raise ValueError("need samples >= 1")
+        index_sets = (
+            coin_mask(r, seed, s) if family is None else space[randrange(len(space), seed, s)]
+            for s in range(samples)
+        )
+    else:
         raise ValueError("mode must be 'auto', 'exact', or 'mc'")
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    values = []
-    for s in range(samples):
-        U = 0
-        if family is None:
-            for i in iter_bits(coin_mask(r, seed, s)):
-                U |= masks[i]
-        else:
-            v = randrange(1 << family.n, seed, s)
-            for i in range(r):
-                if (family.sets[i] >> v) & 1:
-                    U |= masks[i]
-        values.append(Fraction(_alpha_of_subset(G, U)))
-    mean, stderr = _mean_and_stderr(values, n)
+    # the parts are disjoint, so the sum of those in R is their union
+    unions = (sum(masks[i] for i in iter_bits(R)) for R in index_sets)
+    mean, stderr = _mean_alpha(G, unions, exact=mode == "exact")
+    if mode == "exact":
+        return PartitionBoundResult(r, sampler_name, "exact", mean, None, 0, None)
     return PartitionBoundResult(r, sampler_name, "mc", mean, stderr, samples, seed)

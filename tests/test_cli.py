@@ -6,7 +6,7 @@ from hatlab import cli
 from hatlab.blockers import DEFAULT_VERIFY_BUDGET
 from hatlab.cli import build_from_spec, build_parser, run
 from hatlab.constructions import kneser_hypercube, shift_graph
-from hatlab.graph_core import DEFAULT_NODE_BUDGET, make_graph, parse_graph_text
+from hatlab.graph_core import DEFAULT_NODE_BUDGET, make_graph, parse_graph_text, write_graph_text
 from hatlab.hat_game import DEFAULT_TABLE_BUDGET
 from hatlab.hitting_sets import DEFAULT_HIT_BUDGET, h_of_graph
 
@@ -237,6 +237,11 @@ def test_handler_usage_errors_exit_2():
         ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "1", "--mode", "lower"],
         ["hatgame", "--kind", "dictator", "--players", "0", "--hats", "1"],
         ["subgraph", "alphastarstar", "--construct", "gnp:8,0.3,1", "--mc"],
+        # --restarts 0 and -3 used to run as --restarts 1
+        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--mode", "lower",
+         "--seed", "1", "--restarts", "0"],
+        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--mode", "lower",
+         "--seed", "1", "--restarts", "-3"],
     ):
         status, _ = run_capture(argv)
         assert status == 2, argv
@@ -247,6 +252,26 @@ def test_blockers_build_has_no_level_flag():
     with pytest.raises(SystemExit) as exc:
         run(["blockers", "build", "--level", "3", "--bits", "4", "--seed", "1"])
     assert exc.value.code == 2
+
+
+def test_graph_and_construct_are_mutually_exclusive(tmp_path):
+    gpath = tmp_path / "k3.txt"
+    gpath.write_text(write_graph_text(make_graph(3, [(0, 1), (1, 2), (0, 2)])))
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0], [1, 2]]))
+    for argv in (
+        ["alpha"],
+        ["hitting"],
+        ["subgraph", "alphastarstar"],
+        ["subgraph", "hajnal"],
+        ["subgraph", "removal", "--target-size", "1", "--seed", "1"],
+        ["subgraph", "t16", "--seed", "1"],
+        ["subgraph", "partition-bound", "--partition-file", str(ppath), "--exact"],
+    ):
+        assert run_capture(argv + ["--graph", str(gpath)])[0] == 0, argv
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--graph", str(gpath), "--construct", "shift:2"])
+        assert exc.value.code == 2, argv
 
 
 def test_exact_and_mc_are_mutually_exclusive(tmp_path):

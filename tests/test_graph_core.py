@@ -9,7 +9,6 @@ from hatlab.graph_core import (
     DEFAULT_NODE_BUDGET,
     Graph,
     VertexSet,
-    _complement_rows,
     enumerate_maximal_independent_sets,
     enumerate_maximum_independent_sets,
     induced_subgraph,
@@ -207,7 +206,7 @@ def test_search_matches_reference_search():
     with_isolated = budgeted = 0
     for g in range(1200):
         G = _differential_graph(g)
-        rows, allowed = _complement_rows(G)
+        rows, allowed = G._complement_rows
         res = max_independent_set(G)
         if not allowed:
             assert res.alpha == 0

@@ -287,6 +287,12 @@ def test_nested_lower_bound_rejects_small_t():
         nested_lower_bound(winning_family("dictator", 1), 2)
 
 
+def test_nested_lower_bound_needs_a_restart():
+    for restarts in (0, -3):
+        with pytest.raises(ValueError, match="restarts"):
+            nested_lower_bound(winning_family("dictator", 1), 3, restarts=restarts)
+
+
 # -- induced index sets and correlation ---------------------------------------
 
 

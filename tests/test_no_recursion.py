@@ -1,4 +1,4 @@
-"""No function in `src/hatlab` calls itself, apart from two bounded cases.
+"""No function in `src/hatlab` calls itself, apart from one bounded case.
 
 Searches run on explicit stacks so that their depth is limited by memory,
 not by the interpreter's recursion limit.  The lint walks each module's AST
@@ -13,8 +13,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hatlab"
 ALLOWED = {
     # depth 2^n <= 32: monotone families are guarded to n <= 5
     "hat_game._balanced_monotone_sets.assign",
-    # depth t: one call per player count from t down to 3
-    "hat_game.nested_lower_bound",
 }
 
 

@@ -212,6 +212,18 @@ def test_partition_singletons_reproduce_alpha_star_star():
         res = partition_bound_eval(G, parts, sampler="binomial")
         assert res.mode == "exact"
         assert res.estimate == alpha_star_star_exact(G).estimate
+        res = partition_bound_eval(G, parts, sampler="binomial", samples=300, seed=seed, mode="mc")
+        mc = alpha_star_star_mc(G, samples=300, seed=seed)
+        assert (res.estimate, res.stderr) == (mc.estimate, mc.stderr)
+
+
+def test_exact_partition_bound_pinned_past_subset_guard():
+    # n > EXACT_SUBSET_GUARD, so every union is searched rather than read
+    # from the subset table; the empty part makes each union occur twice
+    G = random_gnp(18, 0.3, seed=4)
+    parts = [VertexSet.from_indices(18, range(i, 18, 5)) for i in range(5)] + [VertexSet(18, 0)]
+    res = partition_bound_eval(G, parts, mode="exact")
+    assert (res.r, res.mode, res.estimate) == (6, "exact", Fraction(9, 32))
 
 
 def test_partition_rv_sampler_matches_best_response_value():

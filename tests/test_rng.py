@@ -1,5 +1,6 @@
 from hatlab.constructions import random_gnp
 from hatlab.graph_core import VertexSet
+from hatlab.hat_game import winning_family
 from hatlab.random_subgraphs import alpha_star_star_mc, partition_bound_eval
 from hatlab.rng import chance, coin, coin_mask, randrange, u64
 
@@ -43,6 +44,11 @@ def test_mc_records_pinned():
     parts = [VertexSet.from_indices(18, (i, i + 1)) for i in range(0, 18, 2)]
     res = partition_bound_eval(random_gnp(18, 0.3, seed=4), parts, samples=150, seed=5, mode="mc")
     assert (res.estimate, res.stderr) == (0.28074074074074074, 0.006538385200519441)
+    # captured before the partition bound's samplers became index-set spaces
+    parts = [VertexSet.from_indices(20, range(i, 20, 4)) for i in range(4)]
+    res = partition_bound_eval(random_gnp(20, 0.3, seed=8), parts,
+                               sampler=winning_family("intersecting", 3), samples=150, seed=9)
+    assert (res.mode, res.estimate, res.stderr) == ("mc", 0.25733333333333336, 0.009090480635283392)
 
 
 def test_chance_extremes():
