@@ -207,6 +207,10 @@ def cmd_alpha(args, em: Emitter) -> int:
 def cmd_hatgame(args, em: Emitter) -> int:
     if args.players < 1:
         raise UsageError("need at least one player")
+    if args.hats < 1:
+        raise UsageError("need at least one hat")
+    if args.players != 2 and args.budget != DEFAULT_TABLE_BUDGET:
+        raise UsageError("--budget bounds the two-player table search; use it with --players 2")
     if args.restarts < 1:
         raise UsageError("need --restarts >= 1")
     fam = winning_family(args.kind, args.hats)

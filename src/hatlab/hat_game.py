@@ -16,9 +16,12 @@ Conventions:
   on exact paths.
 
 Every best response, and every value coordinate ascent reports, comes from
-one per-view evaluator (``_others_correct``).  ``winning_set_of_strategy``
-is the independent whole-strategy scorer: ``nested_lower_bound`` re-scores
-its witness with it, so a reported bound never rests on the evaluator.
+one per-view evaluator (``_others_correct``).  The two-player table search
+scores tables with a packed kernel whose columns are that evaluator's
+per-view masks, and re-derives its winner's value with ``best_response``.
+``winning_set_of_strategy`` is the independent whole-strategy scorer:
+``nested_lower_bound`` re-scores its witness with it, so a reported bound
+never rests on the evaluator.
 """
 
 from __future__ import annotations
@@ -325,37 +328,80 @@ def best_response(
     return table0, Fraction(count, N * N)
 
 
+class _Cover(dict):
+    """Column memo, filled on a miss: a column (as little-endian bytes) maps
+    to max over g of |sets[g] & column|.  It holds at most 2^N keys."""
+
+    def __init__(self, sets: tuple[int, ...]) -> None:
+        self.sets = sets
+
+    def __missing__(self, key: bytes) -> int:
+        column = int.from_bytes(key, "little")
+        self[key] = count = max((s & column).bit_count() for s in self.sets)
+        return count
+
+
+def _best_player1_table(family: WinningFamily, budget: int) -> tuple[int, tuple[int, ...]]:
+    """First player-1 table, in lexicographic order among the first
+    ``budget``, whose best response wins most tuples; returns that count
+    and the table.
+
+    A table g2 is one packed integer, the sum over x_0 of
+    ``spread[g2[x_0]] << x_0``, where ``spread[g]`` has bit w*W set for
+    each w in ``sets[g]`` (W = max(N, 8) bits, a whole number of bytes).
+    Its W-bit column x_1 is ``_others_correct(family, ((), g2), 0)[x_1]``,
+    and the best response's count is the sum over columns of the memoised
+    cover.  The last view varies fastest, so it is added to each prefix.
+    """
+    N = 1 << family.n
+    width = max(N, 8) // 8  # bytes per column
+    size = width * N
+    spread = [sum(1 << (8 * width * w) for w in iter_bits(s)) for s in family.sets]
+    last = [s << (N - 1) for s in spread]
+    columns = [slice(k, k + width) for k in range(0, size, width)]
+    cover = _Cover(family.sets).__getitem__
+    best_count = -1
+    best_g2: tuple[int, ...] = ()
+    left = budget
+    for head in iter_product(range(family.r), repeat=N - 1):
+        prefix = sum(map(int.__lshift__, map(spread.__getitem__, head), range(N - 1)))
+        for g, tail in enumerate(last):
+            if not left:
+                return best_count, best_g2
+            left -= 1
+            packed = (prefix + tail).to_bytes(size, "little")
+            count = sum(map(cover, map(packed.__getitem__, columns)))
+            if count > best_count:
+                best_count = count
+                best_g2 = (*head, g)
+    return best_count, best_g2
+
+
 def exact_value_two_players(
     family: WinningFamily, budget: int = DEFAULT_TABLE_BUDGET
 ) -> GameValue:
     """Exact two-player value by enumerating all player-1 tables.
 
     Every player-1 table (equivalently every ordered partition of B into
-    preimages) is paired with its exact best response.  When r^(2^n) tables
+    preimages), in lexicographic order, is scored by the number of tuples
+    its exact best response wins, without building that response: the
+    table is packed into one integer whose columns are player 0's
+    per-view masks, and a per-call memo maps each column to its best
+    cover.  The first table with the largest count wins; its player-0
+    table and value come from ``best_response``.  When r^(2^n) tables
     exceed the budget the enumeration stops early and the best value found
     is returned with mode "lower_bound".
     """
     if budget < 1:
         raise ValueError("budget must allow at least one table")
     N = 1 << family.n
-    r = family.r
-    exhaustive = r**N <= budget
-    best_val = Fraction(-1)
-    best_g2: tuple[int, ...] | None = None
-    examined = 0
-    for g2 in iter_product(range(r), repeat=N):
-        examined += 1
-        if examined > budget:
-            break
-        _, val = best_response(family, g2)
-        if val > best_val:
-            best_val = val
-            best_g2 = g2
-    assert best_g2 is not None
-    table0, _ = best_response(family, best_g2)
-    witness = Strategy(2, family.n, (table0, best_g2))
-    mode = "exact" if exhaustive else "lower_bound"
-    return GameValue(2, family.n, family.kind, best_val, mode, witness)
+    count, g2 = _best_player1_table(family, budget)
+    table0, value = best_response(family, g2)
+    if value != Fraction(count, N * N):
+        raise RuntimeError(f"packed count {count}/{N * N} disagrees with best_response's {value}")
+    witness = Strategy(2, family.n, (table0, g2))
+    mode = "exact" if family.r**N <= budget else "lower_bound"
+    return GameValue(2, family.n, family.kind, value, mode, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ Everything here is deliberately naive: direct enumeration, per-tuple
 simulation, size-ordered subset search.  None of it shares code with the
 package's branch-and-bound or coloring machinery.  The ``reference_*``
 searches are the package's earlier versions, kept to pin node counts and
-tie-breaks: the recursive blocker and hitting-set searches, and the MIS
-search before its root reduction.  ``reference_min_hitting_set`` reuses
-the package's greedy seed and packing bound, which it does not test.
+tie-breaks: the recursive blocker and hitting-set searches, the MIS
+search before its root reduction, and the two-player table search that
+scored each table with a full best response.  ``reference_min_hitting_set``
+reuses the package's greedy seed and packing bound, and
+``reference_exact_value_two_players`` its ``best_response``, which they
+do not test.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from hatlab.bits import iter_bits, iter_submasks
 from hatlab.blockers import DEFAULT_VERIFY_BUDGET, PointTuple, VerifyResult
 from hatlab.errors import BudgetExceededError, CapExceededError
 from hatlab.graph_core import DEFAULT_ENUM_CAP, Graph, VertexSet
-from hatlab.hat_game import Strategy, WinningFamily, view_index
+from hatlab.hat_game import (
+    DEFAULT_TABLE_BUDGET,
+    GameValue,
+    Strategy,
+    WinningFamily,
+    best_response,
+    view_index,
+)
 from hatlab.hitting_sets import (
     DEFAULT_HIT_BUDGET,
     HittingSetResult,
@@ -179,6 +189,37 @@ def brute_two_player_value(family: WinningFamily) -> Fraction:
             if measure > best:
                 best = measure
     return best
+
+
+def reference_exact_value_two_players(
+    family: WinningFamily, budget: int = DEFAULT_TABLE_BUDGET
+) -> GameValue:
+    """The package's earlier table search: one full ``best_response`` per
+    player-1 table, in lexicographic order, compared as Fractions; the
+    first maximum wins."""
+    from itertools import product
+
+    if budget < 1:
+        raise ValueError("budget must allow at least one table")
+    N = 1 << family.n
+    r = family.r
+    exhaustive = r**N <= budget
+    best_val = Fraction(-1)
+    best_g2: tuple[int, ...] | None = None
+    examined = 0
+    for g2 in product(range(r), repeat=N):
+        examined += 1
+        if examined > budget:
+            break
+        _, val = best_response(family, g2)
+        if val > best_val:
+            best_val = val
+            best_g2 = g2
+    assert best_g2 is not None
+    table0, _ = best_response(family, best_g2)
+    witness = Strategy(2, family.n, (table0, best_g2))
+    mode = "exact" if exhaustive else "lower_bound"
+    return GameValue(2, family.n, family.kind, best_val, mode, witness)
 
 
 def two_player_winning_masks(family: WinningFamily) -> list[int]:

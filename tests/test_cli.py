@@ -242,9 +242,21 @@ def test_handler_usage_errors_exit_2():
          "--seed", "1", "--restarts", "0"],
         ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--mode", "lower",
          "--seed", "1", "--restarts", "-3"],
+        # --budget bounds only the two-player table search; it used to be ignored
+        ["hatgame", "--kind", "intersecting", "--players", "3", "--hats", "3", "--mode", "lower",
+         "--seed", "1", "--budget", "5"],
+        ["hatgame", "--kind", "dictator", "--players", "1", "--hats", "2", "--budget", "5"],
     ):
         status, _ = run_capture(argv)
         assert status == 2, argv
+
+
+def test_hatgame_needs_a_hat():
+    # these used to exit 1 through winning_family's ValueError
+    for hats in ("0", "-1"):
+        for players in (["1"], ["2"], ["3", "--mode", "lower", "--seed", "1"]):
+            argv = ["hatgame", "--kind", "dictator", "--hats", hats, "--players", *players]
+            assert run_capture(argv) == (2, []), argv
 
 
 def test_blockers_build_has_no_level_flag():

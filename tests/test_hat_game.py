@@ -1,11 +1,15 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from hatlab import hat_game
 from hatlab.constructions import hamming_power, kneser_hypercube
 from hatlab.errors import SizeLimitError
 from hatlab.graph_core import max_independent_set
 from hatlab.hat_game import (
+    DEFAULT_TABLE_BUDGET,
+    KINDS,
     Strategy,
     WinningFamily,
     best_response,
@@ -24,6 +28,7 @@ from oracles import (
     brute_best_response_table,
     brute_two_player_value,
     maximal_intersecting_families,
+    reference_exact_value_two_players,
     simulate_strategy,
 )
 
@@ -194,6 +199,43 @@ def test_two_player_budget_gives_lower_bound_mode():
     gv = exact_value_two_players(fam, budget=5)
     assert gv.mode == "lower_bound"
     assert gv.value <= exact_value_two_players(fam).value
+
+
+def _table_search_cases():
+    cases = []
+    for kind in KINDS:
+        for n in (1, 2, 3):
+            full = winning_family(kind, n).r ** (1 << n)
+            budgets = {DEFAULT_TABLE_BUDGET, 1, 2, 5, full - 1, full} - {0}
+            cases += [(kind, n, budget) for budget in sorted(budgets)]
+    # nested_lower_bound's bottom level, the games benchmark's budgeted
+    # dictator search, and small budgets past n = 3
+    cases += [("dictator", 4, 20_000), ("intersecting", 3, 50_000)]
+    cases += [("intersecting", 4, b) for b in (1, 7, 400)]
+    cases += [("monotone", 4, b) for b in (1, 9, 400)]
+    cases += [("dictator", 5, b) for b in (1, 6, 300)]
+    return cases
+
+
+@lru_cache(maxsize=None)
+def _reference_table_search(kind, n, budget):
+    return reference_exact_value_two_players(winning_family(kind, n), budget)
+
+
+@pytest.mark.parametrize("kind,n,budget", _table_search_cases())
+def test_two_player_matches_reference_table_search(kind, n, budget):
+    fam = winning_family(kind, n)
+    # an exhaustive search answers the same at every budget past r^N
+    expected = _reference_table_search(kind, n, min(budget, fam.r ** (1 << n)))
+    assert exact_value_two_players(fam, budget) == expected
+
+
+def test_two_player_search_fails_loudly_on_a_miscount(monkeypatch):
+    fam = winning_family("dictator", 2)
+    count, g2 = hat_game._best_player1_table(fam, 5)
+    monkeypatch.setattr(hat_game, "_best_player1_table", lambda family, budget: (count + 1, g2))
+    with pytest.raises(RuntimeError, match="disagrees"):
+        exact_value_two_players(fam, 5)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
