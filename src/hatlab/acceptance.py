@@ -1,9 +1,9 @@
 """Acceptance battery: one check per shipped claim, exact where stated.
 
-Each criterion is a function returning a :class:`CheckResult`; ``run_all``
-executes the battery.  The quick tier shrinks instance counts but never
-loosens a tolerance: exact assertions stay exact, Monte-Carlo assertions
-stay at their stated sigma multiples.
+Each criterion is a function returning a :class:`CheckResult`, and
+``ALL_CHECKS`` lists them in order.  The quick tier shrinks instance
+counts but never loosens a tolerance: exact assertions stay exact,
+Monte-Carlo assertions stay at their stated sigma multiples.
 """
 
 from __future__ import annotations
@@ -358,9 +358,9 @@ def check_12_margin_bound(quick: bool) -> CheckResult:
 
 
 DETERMINISM_COMMANDS = (
-    ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--mode", "lower", "--seed", "5"],
-    ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "2", "--mode", "lower", "--seed", "9"],
-    ["hatgame", "--kind", "intersecting", "--players", "3", "--hats", "2", "--mode", "lower", "--seed", "3"],
+    ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--seed", "5"],
+    ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "2", "--seed", "9"],
+    ["hatgame", "--kind", "intersecting", "--players", "3", "--hats", "2", "--seed", "3"],
     ["blockers", "build", "--bits", "4", "--seed", "3"],
     ["blockers", "build", "--bits", "5", "--seed", "11"],
     ["blockers", "build", "--bits", "6", "--seed", "7", "--verify"],
@@ -413,7 +413,3 @@ ALL_CHECKS = (
     check_12_margin_bound,
     check_13_determinism,
 )
-
-
-def run_all(quick: bool = False) -> list[CheckResult]:
-    return [check(quick) for check in ALL_CHECKS]

@@ -55,6 +55,7 @@ from .graph_core import (
     write_graph_text,
 )
 from .hat_game import (
+    DEFAULT_RESTARTS,
     DEFAULT_TABLE_BUDGET,
     KINDS,
     exact_value_one_player,
@@ -86,6 +87,14 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"expected a rational like 3/8, got {text!r}") from exc
+
+
+def count(text: str) -> int:
+    """The type of every count flag (budgets, sizes, samples): an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +214,16 @@ def cmd_alpha(args, em: Emitter) -> int:
 
 
 def cmd_hatgame(args, em: Emitter) -> int:
-    if args.players < 1:
-        raise UsageError("need at least one player")
-    if args.hats < 1:
-        raise UsageError("need at least one hat")
     if args.players != 2 and args.budget != DEFAULT_TABLE_BUDGET:
         raise UsageError("--budget bounds the two-player table search; use it with --players 2")
-    if args.restarts < 1:
-        raise UsageError("need --restarts >= 1")
+    if args.players < 3 and (args.seed is not None or args.restarts != DEFAULT_RESTARTS):
+        raise UsageError("--seed and --restarts steer only the lower bound for --players >= 3")
     fam = winning_family(args.kind, args.hats)
     if args.players == 1:
         gv = exact_value_one_player(fam)
     elif args.players == 2:
-        if args.mode == "lower":
-            raise UsageError("two-player values are computed exactly; use --mode exact")
         gv = exact_value_two_players(fam, budget=args.budget)
     else:
-        if args.mode == "exact":
-            raise UsageError("exact mode stops at 2 players; use --mode lower for t >= 3")
         if args.seed is None:
             raise UsageError("--seed is required for the t >= 3 lower-bound search")
         gv = nested_lower_bound(fam, args.players, seed=args.seed, restarts=args.restarts)
@@ -251,6 +252,8 @@ def cmd_blockers(args, em: Emitter) -> int:
         em.emit(values)
         return 0
     if args.action == "build":
+        if not args.verify and args.budget != DEFAULT_VERIFY_BUDGET:
+            raise UsageError("--budget bounds blocker verification; use it with --verify")
         base = pair_blockers(args.bits)
         tuples = build_ell_tuples(
             args.bits, 2, seed=args.seed, target_measure=args.target_measure
@@ -457,67 +460,66 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="exact maximum independent set")
     _add_graph_source(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help=BUDGET_HELP)
+    p.add_argument("--budget", type=count, default=DEFAULT_NODE_BUDGET, help=BUDGET_HELP)
 
     p = sub.add_parser("hatgame", help="game values for a winning family")
     p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--players", type=int, required=True)
-    p.add_argument("--hats", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "lower"), default="exact")
-    p.add_argument("--budget", type=int, default=DEFAULT_TABLE_BUDGET, help=BUDGET_HELP)
+    p.add_argument("--players", type=count, required=True)
+    p.add_argument("--hats", type=count, required=True)
+    p.add_argument("--budget", type=count, default=DEFAULT_TABLE_BUDGET, help=BUDGET_HELP)
     p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--restarts", type=count, default=DEFAULT_RESTARTS)
 
     p = sub.add_parser("blockers", help="blocker schedules, construction, verification")
     bsub = p.add_subparsers(dest="action", required=True)
     b = bsub.add_parser("schedule")
-    b.add_argument("--max-level", type=int, required=True)
+    b.add_argument("--max-level", type=count, required=True)
     b = bsub.add_parser("build", help="a level-2 family, the level materializable at desk scale")
-    b.add_argument("--bits", type=int, required=True)
+    b.add_argument("--bits", type=count, required=True)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--target-measure", type=parse_fraction)
     b.add_argument("--verify", action="store_true")
-    b.add_argument("--budget", type=int, default=DEFAULT_VERIFY_BUDGET, help=BUDGET_HELP)
+    b.add_argument("--budget", type=count, default=DEFAULT_VERIFY_BUDGET, help=BUDGET_HELP)
     b = bsub.add_parser("verify")
     b.add_argument("--file", required=True)
     b.add_argument("--kind", choices=KINDS, default="dictator")
-    b.add_argument("--budget", type=int, default=DEFAULT_VERIFY_BUDGET, help=BUDGET_HELP)
+    b.add_argument("--budget", type=count, default=DEFAULT_VERIFY_BUDGET, help=BUDGET_HELP)
 
     p = sub.add_parser("subgraph", help="random induced-subgraph statistics")
     ssub = p.add_subparsers(dest="action", required=True)
     for action in ("alphastarstar", "hajnal", "removal", "t16", "partition-bound"):
         s = ssub.add_parser(action)
         _add_graph_source(s)
-        if action in ("alphastarstar", "partition-bound"):
-            mode = s.add_mutually_exclusive_group()
-            mode.add_argument("--exact", action="store_true")
-            mode.add_argument("--mc", action="store_true")
         if action == "alphastarstar":
-            s.add_argument("--samples", type=int, default=2000)
+            s.add_argument("--mc", action="store_true")
+            s.add_argument("--samples", type=count, default=2000)
             s.add_argument("--seed", type=int)
         elif action == "hajnal":
-            s.add_argument("--cap", type=int, default=200_000)
+            s.add_argument("--cap", type=count, default=200_000)
         elif action == "removal":
             s.add_argument("--target-size", type=int, required=True)
             s.add_argument("--seed", type=int, required=True)
             s.add_argument("--threshold", type=parse_fraction, default=Fraction(0))
         elif action == "t16":
-            s.add_argument("--samples", type=int, default=2000)
+            s.add_argument("--samples", type=count, default=2000)
             s.add_argument("--seed", type=int, required=True)
         else:
+            mode = s.add_mutually_exclusive_group()
+            mode.add_argument("--exact", action="store_true")
+            mode.add_argument("--mc", action="store_true")
             s.add_argument("--partition-file", required=True)
             s.add_argument("--sampler", default="binomial",
                            choices=("binomial",) + tuple(f"rv:{kind}" for kind in KINDS),
                            help="rv:KIND samples the index sets of a winning family")
-            s.add_argument("--hats", type=int, default=2)
-            s.add_argument("--samples", type=int, default=2000)
+            s.add_argument("--hats", type=count, default=2)
+            s.add_argument("--samples", type=count, default=2000)
             s.add_argument("--seed", type=int)
 
     p = sub.add_parser("hitting", help="minimum hitting set of maximum independent sets")
     _add_graph_source(p)
     p.add_argument("--threshold", type=parse_fraction)
-    p.add_argument("--budget", type=int, default=DEFAULT_HIT_BUDGET, help=BUDGET_HELP)
-    p.add_argument("--cap", type=int, default=200_000)
+    p.add_argument("--budget", type=count, default=DEFAULT_HIT_BUDGET, help=BUDGET_HELP)
+    p.add_argument("--cap", type=count, default=200_000)
 
     p = sub.add_parser("suite", help="run the acceptance battery")
     p.add_argument("--quick", action="store_true")

@@ -42,6 +42,7 @@ KINDS = ("dictator", "intersecting", "monotone")
 INTERSECTING_MAX_N = 4
 MONOTONE_MAX_N = 5
 DEFAULT_TABLE_BUDGET = 2_000_000
+DEFAULT_RESTARTS = 4
 DEFAULT_MASK_GUARD = 1 << 22
 
 
@@ -451,7 +452,7 @@ def _lift_strategy(strat: Strategy, N: int) -> list[list[int]]:
 
 
 def nested_lower_bound(
-    family: WinningFamily, t: int, seed: int = 0, restarts: int = 4
+    family: WinningFamily, t: int, seed: int = 0, restarts: int = DEFAULT_RESTARTS
 ) -> GameValue:
     """Certified lower bound for the t-player value (t >= 3).
 

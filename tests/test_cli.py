@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -78,11 +79,11 @@ def test_hatgame_record_forced_quarter():
     assert records[0]["values"]["mode"] == "exact"
 
 
-def test_hatgame_three_players_needs_lower_mode():
+def test_hatgame_three_players_needs_a_seed():
     status, _ = run_capture(
         ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1"]
     )
-    assert status == 2  # exact mode refused for t >= 3: a usage error
+    assert status == 2  # the t >= 3 lower-bound search is seeded: a usage error
 
 
 def test_blockers_schedule_record():
@@ -142,7 +143,7 @@ def test_subgraph_alphastarstar_exact_record(tmp_path):
     gpath = tmp_path / "edge.txt"
     gpath.write_text("graph 2 1\ne 0 1\n")
     status, records = run_capture(
-        ["subgraph", "alphastarstar", "--graph", str(gpath), "--exact"]
+        ["subgraph", "alphastarstar", "--graph", str(gpath)]
     )
     assert status == 0
     assert records[0]["values"]["estimate"] == "3/8"
@@ -233,30 +234,97 @@ def test_missing_graph_source_exits_2():
 
 def test_handler_usage_errors_exit_2():
     for argv in (
-        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--mode", "lower"],
-        ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "1", "--mode", "lower"],
-        ["hatgame", "--kind", "dictator", "--players", "0", "--hats", "1"],
+        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1"],
         ["subgraph", "alphastarstar", "--construct", "gnp:8,0.3,1", "--mc"],
-        # --restarts 0 and -3 used to run as --restarts 1
-        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--mode", "lower",
-         "--seed", "1", "--restarts", "0"],
-        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--mode", "lower",
-         "--seed", "1", "--restarts", "-3"],
         # --budget bounds only the two-player table search; it used to be ignored
-        ["hatgame", "--kind", "intersecting", "--players", "3", "--hats", "3", "--mode", "lower",
+        ["hatgame", "--kind", "intersecting", "--players", "3", "--hats", "3",
          "--seed", "1", "--budget", "5"],
         ["hatgame", "--kind", "dictator", "--players", "1", "--hats", "2", "--budget", "5"],
+        # --seed and --restarts steer only the t >= 3 search; they used to be ignored
+        ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "2", "--seed", "4"],
+        ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "2", "--restarts", "9"],
+        ["hatgame", "--kind", "dictator", "--players", "1", "--hats", "2", "--seed", "4"],
+        # --budget bounds only blocker verification; it used to be ignored
+        ["blockers", "build", "--bits", "4", "--seed", "3", "--budget", "5"],
     ):
-        status, _ = run_capture(argv)
-        assert status == 2, argv
+        assert run_capture(argv) == (2, []), argv
+    for argv in (
+        ["hatgame", "--kind", "dictator", "--players", "0", "--hats", "1"],
+        # --restarts 0 and -3 used to run as --restarts 1
+        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1",
+         "--seed", "1", "--restarts", "0"],
+        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1",
+         "--seed", "1", "--restarts", "-3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_hatgame_needs_a_hat():
     # these used to exit 1 through winning_family's ValueError
     for hats in ("0", "-1"):
-        for players in (["1"], ["2"], ["3", "--mode", "lower", "--seed", "1"]):
+        for players in (["1"], ["2"], ["3", "--seed", "1"]):
             argv = ["hatgame", "--kind", "dictator", "--hats", hats, "--players", *players]
-            assert run_capture(argv) == (2, []), argv
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2, argv
+
+
+def _int_options(parser, path=()):
+    """(subcommand path, flag) for each option of ``parser`` that takes an integer."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _int_options(sub, path + (name,))
+        elif action.type in (int, cli.count):
+            yield path, action.option_strings[0]
+
+
+def test_every_count_flag_refuses_zero(tmp_path, capsys):
+    # each base argv parses; a count of 0 used to run, be ignored, or fail with exit 1
+    ppath = tmp_path / "parts.json"
+    base = {
+        ("alpha",): ["alpha", "--construct", "kneser:3"],
+        ("hatgame",): ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1",
+                       "--seed", "1"],
+        ("blockers", "schedule"): ["blockers", "schedule", "--max-level", "3"],
+        ("blockers", "build"): ["blockers", "build", "--bits", "4", "--seed", "3", "--verify"],
+        ("blockers", "verify"): ["blockers", "verify", "--file", str(tmp_path / "f.json")],
+        ("subgraph", "alphastarstar"): ["subgraph", "alphastarstar", "--construct",
+                                        "gnp:8,0.3,1", "--mc", "--seed", "1"],
+        ("subgraph", "hajnal"): ["subgraph", "hajnal", "--construct", "gnp:8,0.3,1"],
+        ("subgraph", "t16"): ["subgraph", "t16", "--construct", "gnp:8,0.3,1", "--seed", "1"],
+        ("subgraph", "partition-bound"): ["subgraph", "partition-bound", "--construct",
+                                          "gnp:5,0.4,9", "--partition-file", str(ppath),
+                                          "--sampler", "rv:dictator", "--seed", "1"],
+        ("hitting",): ["hitting", "--construct", "shift:2"],
+    }
+    found = [
+        (path, flag) for path, flag in _int_options(build_parser())
+        if flag not in ("--seed", "--target-size")
+    ]
+    assert len(found) == 16
+    out = tmp_path / "out.jsonl"
+    for path, flag in found:
+        build_parser().parse_args(base[path])
+        with pytest.raises(SystemExit) as exc:
+            run(["--out", str(out), *base[path], flag, "0"])
+        assert exc.value.code == 2, (path, flag)
+        assert not out.exists() and capsys.readouterr().out == "", (path, flag)
+
+
+def test_removed_flags_exit_2():
+    # hatgame --mode restated what --players decides; alphastarstar --exact was the default
+    for argv in (
+        ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "1", "--mode", "exact"],
+        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--seed", "1",
+         "--mode", "lower"],
+        ["subgraph", "alphastarstar", "--construct", "gnp:8,0.3,1", "--exact"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_blockers_build_has_no_level_flag():
@@ -289,14 +357,11 @@ def test_graph_and_construct_are_mutually_exclusive(tmp_path):
 def test_exact_and_mc_are_mutually_exclusive(tmp_path):
     ppath = tmp_path / "parts.json"
     ppath.write_text(json.dumps([[0, 1], [2, 3, 4]]))
-    for argv in (
-        ["subgraph", "alphastarstar", "--construct", "gnp:5,0.4,9", "--seed", "1"],
-        ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
-         "--partition-file", str(ppath)],
-    ):
-        with pytest.raises(SystemExit) as exc:
-            run(argv + ["--exact", "--mc"])
-        assert exc.value.code == 2
+    argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
+            "--partition-file", str(ppath)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--exact", "--mc"])
+    assert exc.value.code == 2
 
 
 def test_partition_bound_sampler_is_a_choice(tmp_path):
