@@ -65,6 +65,7 @@ from .hat_game import (
 )
 from .hitting_sets import DEFAULT_HIT_BUDGET, covering_code_check, h_of_graph
 from .random_subgraphs import (
+    DEFAULT_SAMPLES,
     alpha_star_star_exact,
     alpha_star_star_margin,
     alpha_star_star_mc,
@@ -72,6 +73,9 @@ from .random_subgraphs import (
     partition_bound_eval,
     removal_trace,
 )
+
+
+DEFAULT_SAMPLER_HATS = 2  # hats per stack of a partition-bound rv: sampler
 
 
 class UsageError(ValueError):
@@ -309,6 +313,8 @@ def cmd_blockers(args, em: Emitter) -> int:
 def cmd_subgraph(args, em: Emitter) -> int:
     G, _ = load_graph(args)
     if args.action == "alphastarstar":
+        if not args.mc and (args.seed is not None or args.samples != DEFAULT_SAMPLES):
+            raise UsageError("--seed and --samples steer only the Monte-Carlo estimate, --mc")
         if args.mc:
             if args.seed is None:
                 raise UsageError("--seed is required for Monte-Carlo mode")
@@ -336,6 +342,8 @@ def cmd_subgraph(args, em: Emitter) -> int:
         em.emit(values)
         return 0
     if args.action == "removal":
+        if not 0 <= args.target_size <= G.n:
+            raise UsageError(f"--target-size must lie in [0, {G.n}], got {args.target_size}")
         trace = removal_trace(G, args.target_size, args.seed, args.threshold)
         em.raw("step,removed_vertex,alpha,successful")
         for i, step in enumerate(trace.steps, start=1):
@@ -357,6 +365,8 @@ def cmd_subgraph(args, em: Emitter) -> int:
     # partition-bound
     if not args.exact and args.seed is None:
         raise UsageError("--seed is required unless --exact is given")
+    if args.sampler == "binomial" and args.hats != DEFAULT_SAMPLER_HATS:
+        raise UsageError("--hats sizes an rv: sampler; the binomial sampler does not read it")
     with open(args.partition_file) as fh:
         parts = json.load(fh)
     partition = [VertexSet.from_indices(G.n, p) for p in parts]
@@ -492,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_graph_source(s)
         if action == "alphastarstar":
             s.add_argument("--mc", action="store_true")
-            s.add_argument("--samples", type=count, default=2000)
+            s.add_argument("--samples", type=count, default=DEFAULT_SAMPLES)
             s.add_argument("--seed", type=int)
         elif action == "hajnal":
             s.add_argument("--cap", type=count, default=200_000)
@@ -501,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--seed", type=int, required=True)
             s.add_argument("--threshold", type=parse_fraction, default=Fraction(0))
         elif action == "t16":
-            s.add_argument("--samples", type=count, default=2000)
+            s.add_argument("--samples", type=count, default=DEFAULT_SAMPLES)
             s.add_argument("--seed", type=int, required=True)
         else:
             mode = s.add_mutually_exclusive_group()
@@ -511,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--sampler", default="binomial",
                            choices=("binomial",) + tuple(f"rv:{kind}" for kind in KINDS),
                            help="rv:KIND samples the index sets of a winning family")
-            s.add_argument("--hats", type=count, default=2)
-            s.add_argument("--samples", type=count, default=2000)
+            s.add_argument("--hats", type=count, default=DEFAULT_SAMPLER_HATS)
+            s.add_argument("--samples", type=count, default=DEFAULT_SAMPLES)
             s.add_argument("--seed", type=int)
 
     p = sub.add_parser("hitting", help="minimum hitting set of maximum independent sets")

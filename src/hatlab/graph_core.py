@@ -7,7 +7,9 @@ are deterministic: fixed vertex order, fixed branching order, no randomness.
 
 Maximum search and maximum-set enumeration share one explicit-stack branch
 and bound on a candidate mask, so ``subset_alpha`` searches G[W] in place;
-no search recurses or touches the interpreter's recursion limit.
+no search recurses or touches the interpreter's recursion limit.  Below the
+root a node records only the color classes that can branch (k_min, as in
+MCS and BBMC), which leaves the search tree unchanged.
 """
 
 from __future__ import annotations
@@ -166,12 +168,16 @@ def graph_fingerprint(G: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _color_bound(P: int, rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of P in the complement view.
+def _color_bound(P: int, adj: Sequence[int], kmin: int) -> tuple[list[int], list[int]]:
+    """Greedy coloring of P in the complement view, recorded from class ``kmin`` on.
 
-    Returns vertices ordered by color class and the per-vertex class number;
-    a clique can use at most one vertex per class, so the class number of a
-    vertex bounds any clique inside the vertices ordered up to it.
+    Returns the vertices of classes ``kmin`` and up, ordered by color class,
+    and the per-vertex class number; a clique can use at most one vertex per
+    class, so the class number of a vertex bounds any clique inside the
+    vertices ordered up to it.  The classes below ``kmin`` are built the same
+    way, as the higher ones depend on them, but not recorded.  A class takes
+    the lowest vertex v left and keeps the candidates ``q & adj[v]``: P holds
+    no self-looped vertex, so that drops v and its complement neighbours.
     """
     order: list[int] = []
     bound: list[int] = []
@@ -180,19 +186,25 @@ def _color_bound(P: int, rows: Sequence[int]) -> tuple[list[int], list[int]]:
     while rest:
         color += 1
         q = rest
+        if color < kmin:
+            while q:
+                bit = q & -q
+                rest ^= bit
+                q &= adj[bit.bit_length() - 1]
+            continue
         while q:
-            v = (q & -q).bit_length() - 1
-            bit = 1 << v
-            q &= ~rows[v]
-            q ^= bit
+            bit = q & -q
+            v = bit.bit_length() - 1
             rest ^= bit
+            q &= adj[v]
             order.append(v)
             bound.append(color)
     return order, bound
 
 
 def _search(
-    rows: Sequence[int], P: int, budget: int, alpha: int | None = None, cap: int = DEFAULT_ENUM_CAP
+    rows: Sequence[int], adj: Sequence[int], P: int, budget: int,
+    alpha: int | None = None, cap: int = DEFAULT_ENUM_CAP,
 ) -> list[int]:
     """Coloring branch and bound over complement cliques inside nonempty P.
 
@@ -207,17 +219,23 @@ def _search(
     raises ``need``, so the last mask is the witness; with ``alpha`` given
     every clique of that size is kept, up to ``cap``.  Exhaustion certifies
     alpha in [floor, isolated count + root color count], or [alpha, alpha].
+
+    ``rows`` are the complement rows and ``adj`` the graph's own.  The root
+    is colored in full, so ``upper`` is certified; a child records only its
+    classes from ``need - r_size - 1`` on and is not pushed without one.
+    ``need`` never falls, so nothing left out could be branched on: the
+    tree, its node counts and its leaves are those of the full coloring.
     """
     iso = 0
     for v in iter_bits(P):
-        if P & ~rows[v] == 1 << v:
+        if not P & adj[v]:
             iso |= 1 << v
     if iso == P:
         return [iso]
     found: list[int] = []
     need = 1 if alpha is None else alpha
     nodes = 0
-    order, bound = _color_bound(P ^ iso, rows)
+    order, bound = _color_bound(P ^ iso, adj, 0)
     k = iso.bit_count()
     upper = k + bound[-1] if alpha is None else alpha
     stack = [[iso, k, P ^ iso, order, bound, len(order)]]
@@ -240,8 +258,9 @@ def _search(
         frame[2], frame[5] = local ^ bit, i
         child = local & rows[v]
         if child:
-            c_order, c_bound = _color_bound(child, rows)
-            stack.append([r_mask | bit, r_size + 1, child, c_order, c_bound, len(c_order)])
+            c_order, c_bound = _color_bound(child, adj, need - r_size - 1)
+            if c_order:
+                stack.append([r_mask | bit, r_size + 1, child, c_order, c_bound, len(c_order)])
         elif r_size + 1 >= need:
             found.append(r_mask | bit)
             if alpha is None:
@@ -261,7 +280,7 @@ def max_independent_set(G: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MISResul
     lower/upper bounds when the node budget runs out.
     """
     rows, allowed = G._complement_rows
-    best = _search(rows, allowed, budget)[-1] if allowed else 0
+    best = _search(rows, G.adj, allowed, budget)[-1] if allowed else 0
     alpha = best.bit_count()
     return MISResult(alpha, VertexSet(G.n, best), Fraction(alpha, G.n or 1))
 
@@ -278,7 +297,7 @@ def enumerate_maximum_independent_sets(
     if alpha == 0:
         return [VertexSet(G.n, 0)]
     rows, allowed = G._complement_rows
-    return [VertexSet(G.n, m) for m in sorted(_search(rows, allowed, budget, alpha, cap))]
+    return [VertexSet(G.n, m) for m in sorted(_search(rows, G.adj, allowed, budget, alpha, cap))]
 
 
 def enumerate_maximal_independent_sets(
@@ -347,7 +366,7 @@ def subset_alpha(G: Graph, W: int) -> int:
         raise ValueError("vertex mask out of range for the graph")
     rows, allowed = G._complement_rows
     P = allowed & W
-    return _search(rows, P, DEFAULT_NODE_BUDGET)[-1].bit_count() if P else 0
+    return _search(rows, G.adj, P, DEFAULT_NODE_BUDGET)[-1].bit_count() if P else 0
 
 
 def subset_alpha_table(G: Graph) -> list[int]:

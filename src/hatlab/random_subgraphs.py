@@ -34,6 +34,7 @@ from .graph_core import (
 from .hat_game import WinningFamily, r_v_distribution
 from .rng import coin_mask, randrange
 
+DEFAULT_SAMPLES = 2000
 EXACT_SUBSET_GUARD = 15
 EXACT_PARTS_GUARD = 20
 
@@ -217,7 +218,7 @@ def removal_trace(G: Graph, m: int, seed: int, threshold: Fraction) -> RemovalTr
     )
 
 
-def alpha_star_star_margin(G: Graph, samples: int = 2000, seed: int = 0) -> MarginReport:
+def alpha_star_star_margin(G: Graph, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MarginReport:
     """Check alpha_star_star(G) <= 1/4 + tau - tau^2/3 where alpha_bar = 1/4 + tau.
 
     Requires 0 < tau < 1/4 (raises ValueError otherwise).  The estimate is
@@ -267,7 +268,7 @@ def partition_bound_eval(
     G: Graph,
     partition: Sequence[VertexSet],
     sampler: str | WinningFamily = "binomial",
-    samples: int = 2000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     mode: str = "auto",
 ) -> PartitionBoundResult:

@@ -185,6 +185,43 @@ def test_subgraph_partition_bound(tmp_path):
     assert records[0]["values"]["mode"] == "exact"
 
 
+def test_subgraph_alphastarstar_seed_and_samples_need_mc():
+    # the exact estimate reads neither; it used to echo a seed it never used
+    argv = ["subgraph", "alphastarstar", "--construct", "gnp:10,0.4,5"]
+    for extra in (["--seed", "3"], ["--samples", "7"], ["--seed", "3", "--samples", "7"]):
+        assert run_capture(argv + extra) == (2, []), extra
+    status, records = run_capture(argv + ["--samples", "2000"])
+    assert status == 0 and records[0]["values"]["estimate"] == "1409/5120"
+    status, records = run_capture(argv + ["--mc", "--seed", "3", "--samples", "7"])
+    assert status == 0 and records[0]["values"]["samples"] == 7 and records[0]["seed"] == 3
+
+
+def test_partition_bound_hats_need_an_rv_sampler(tmp_path):
+    # only an rv: sampler reads --hats; the binomial sampler used to ignore it
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
+    argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
+            "--partition-file", str(ppath), "--seed", "1"]
+    assert run_capture(argv + ["--hats", "5"]) == (2, [])
+    assert run_capture(argv + ["--sampler", "binomial", "--hats", "3"]) == (2, [])
+    assert run_capture(argv + ["--hats", "2"])[0] == 0
+    status, records = run_capture(argv + ["--sampler", "rv:dictator", "--hats", "3"])
+    assert status == 0 and records[0]["values"]["sampler"] == "r_v(dictator)"
+
+
+def test_subgraph_removal_target_size_out_of_range_exits_2(tmp_path, capsys):
+    # these used to exit 1 through removal_trace's ValueError
+    out = tmp_path / "trace.csv"
+    argv = ["--out", str(out), "subgraph", "removal", "--construct", "gnp:8,0.3,5", "--seed", "6"]
+    for size in ("-3", "9"):
+        assert run(argv + ["--target-size", size]) == (2, []), size
+        assert not out.exists(), size
+        assert "--target-size must lie in [0, 8]" in capsys.readouterr().err
+    for size, steps in (("0", 8), ("8", 0)):
+        assert run(argv + ["--target-size", size])[0] == 0, size
+        assert len(out.read_text().strip().splitlines()) == steps + 1, size
+
+
 def test_hitting_record_shift2():
     status, records = run_capture(["hitting", "--construct", "shift:2"])
     assert status == 0

@@ -9,6 +9,7 @@ from hatlab.graph_core import (
     DEFAULT_NODE_BUDGET,
     Graph,
     VertexSet,
+    _color_bound,
     enumerate_maximal_independent_sets,
     enumerate_maximum_independent_sets,
     induced_subgraph,
@@ -28,6 +29,7 @@ from oracles import (
     brute_maximum_sets,
     is_independent,
     maximal_intersecting_families,
+    reference_color_bound,
     reference_search,
 )
 
@@ -232,6 +234,37 @@ def test_search_matches_reference_search():
             elif isinstance(ref, int):
                 assert got == ref
     assert with_isolated > 300 and budgeted > 300
+
+
+def test_truncated_coloring_is_the_top_of_the_full_coloring():
+    # classes below kmin are built but not recorded; the rest match the full coloring
+    for g in range(200):
+        G = _differential_graph(g)
+        rows, allowed = G._complement_rows
+        P = allowed & u64(35, g)
+        if not P:
+            continue
+        order, bound = reference_color_bound(P, rows)
+        for kmin in range(bound[-1] + 2):
+            top = [i for i, b in enumerate(bound) if b >= kmin]
+            expected = ([order[i] for i in top], [bound[i] for i in top])
+            assert _color_bound(P, G.adj, kmin) == expected, (g, kmin)
+
+
+def test_hamming_products_match_reference_search():
+    # each product has one isolated vertex, so the root takes it; nothing else moves
+    k3 = kneser_hypercube(3)
+    for G, budget, interval in (
+        (hamming_power(kneser_hypercube(4), 2), 2_000, (86, 105, 2_001)),
+        (hamming_power(k3, 3), 500, (129, 157, 501)),
+    ):
+        rows, allowed = G._complement_rows
+        ref = _search_outcome(lambda: reference_search(rows, allowed, budget)[-1])
+        got = _search_outcome(lambda: max_independent_set(G, budget=budget).witness.bits)
+        assert ref == got == interval
+    G = kneser_hypercube(6)
+    rows, allowed = G._complement_rows
+    assert max_independent_set(G).witness.bits == reference_search(rows, allowed, 1 << 40)[-1]
 
 
 # -- enumeration of maximum sets ---------------------------------------------
