@@ -3,8 +3,10 @@
 Every record echoes its argv, parameters, and seed; re-running the echoed
 command reproduces the record's values exactly (wall-clock aside).  Exact
 rationals are rendered as "num/den" strings.  Exit codes: 0 success, 1
-budget/guard failure, 2 usage error.  Each ``--budget`` defaults to its
-library's node budget, so a record depends on nothing but its argv.
+budget/guard failure, 2 usage error.  A budget, cap, sample or restart count
+reaches the library only when given, so the library's own default applies
+otherwise, and a flag that the chosen path does not read is refused whenever
+given: a record depends on nothing but its argv.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
     SizeLimitError,
 )
 from .graph_core import (
+    DEFAULT_ENUM_CAP,
     DEFAULT_NODE_BUDGET,
     Graph,
     VertexSet,
@@ -73,9 +76,6 @@ from .random_subgraphs import (
     partition_bound_eval,
     removal_trace,
 )
-
-
-DEFAULT_SAMPLER_HATS = 2  # hats per stack of a partition-bound rv: sampler
 
 
 class UsageError(ValueError):
@@ -139,12 +139,21 @@ def build_from_spec(spec: str) -> tuple[Graph, list[str] | None]:
 
 
 def load_graph(args) -> tuple[Graph, list[str] | None]:
-    if getattr(args, "graph", None):
+    if args.graph:
         with open(args.graph) as fh:
             return parse_graph_text(fh.read()), None
-    if getattr(args, "construct", None):
-        return build_from_spec(args.construct)
-    raise UsageError("need --graph FILE or --construct SPEC")
+    return build_from_spec(args.construct)
+
+
+def given(args, *names: str) -> dict:
+    """The named flags that were given, as keyword arguments; the library defaults the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def refuse_given(args, unread: bool, *names: str, only: str) -> None:
+    """A usage error if ``unread`` and a named flag was given: the chosen path ignores it."""
+    if unread and (flags := given(args, *names)):
+        raise UsageError(f"{', '.join('--' + name for name in flags)}: read only {only}")
 
 
 class Emitter:
@@ -190,19 +199,18 @@ class Emitter:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand handlers: each returns its exit status, None meaning 0 as in sys.exit
 # ---------------------------------------------------------------------------
 
 
-def cmd_construct(args, em: Emitter) -> int:
+def cmd_construct(args, em: Emitter) -> None:
     G, labels = build_from_spec(args.spec)
     em.raw(write_graph_text(G, labels=labels if args.emit_labels else None))
-    return 0
 
 
-def cmd_alpha(args, em: Emitter) -> int:
+def cmd_alpha(args, em: Emitter) -> None:
     G, labels = load_graph(args)
-    res = max_independent_set(G, budget=args.budget)
+    res = max_independent_set(G, **given(args, "budget"))
     witness = list(res.witness.indices())
     values = {
         "n": G.n,
@@ -214,67 +222,58 @@ def cmd_alpha(args, em: Emitter) -> int:
     if labels:
         values["witness_labels"] = [labels[v] for v in witness]
     em.emit(values)
-    return 0
 
 
-def cmd_hatgame(args, em: Emitter) -> int:
-    if args.players != 2 and args.budget != DEFAULT_TABLE_BUDGET:
-        raise UsageError("--budget bounds the two-player table search; use it with --players 2")
-    if args.players < 3 and (args.seed is not None or args.restarts != DEFAULT_RESTARTS):
-        raise UsageError("--seed and --restarts steer only the lower bound for --players >= 3")
+def cmd_hatgame(args, em: Emitter) -> None:
+    refuse_given(args, args.players != 2, "budget", only="with --players 2")
+    refuse_given(args, args.players < 3, "seed", "restarts", only="with --players >= 3")
     fam = winning_family(args.kind, args.hats)
     if args.players == 1:
         gv = exact_value_one_player(fam)
     elif args.players == 2:
-        gv = exact_value_two_players(fam, budget=args.budget)
+        gv = exact_value_two_players(fam, **given(args, "budget"))
     else:
         if args.seed is None:
             raise UsageError("--seed is required for the t >= 3 lower-bound search")
-        gv = nested_lower_bound(fam, args.players, seed=args.seed, restarts=args.restarts)
-    values = {
+        gv = nested_lower_bound(fam, args.players, seed=args.seed, **given(args, "restarts"))
+    em.emit({
         "kind": gv.kind,
         "players": gv.t,
         "hats": gv.n,
         "value": frac_str(gv.value),
         "mode": gv.mode,
         "num_sets": fam.r,
-    }
-    if gv.witness is not None:
-        values["witness_tables"] = [list(tb) for tb in gv.witness.tables]
+        "witness_tables": [list(tb) for tb in gv.witness.tables],
+    })
+
+
+def cmd_blockers_schedule(args, em: Emitter) -> None:
+    em.emit({
+        "levels": [
+            {"d": s.d, "k": str(s.k), "beta": frac_str(s.beta), "ell": None if s.ell is None else str(s.ell)}
+            for s in blocker_schedule(args.max_level)
+        ]
+    })
+
+
+def cmd_blockers_build(args, em: Emitter) -> None:
+    refuse_given(args, not args.verify, "budget", only="with --verify")
+    base = pair_blockers(args.bits)
+    tuples = build_ell_tuples(args.bits, 2, seed=args.seed, target_measure=args.target_measure)
+    fam = lift_blockers(base, tuples)
+    values = {"family": family_to_json(fam), "num_tuples": len(tuples.tuples)}
+    if args.verify:
+        wf = winning_family("dictator", args.bits)
+        verdicts = [
+            verify_blocker(args.bits, 2, b, wf, **given(args, "budget")).is_blocker
+            for b in fam.blockers
+        ]
+        values["verified"] = all(verdicts)
+        values["verdicts"] = verdicts
     em.emit(values)
-    return 0
 
 
-def cmd_blockers(args, em: Emitter) -> int:
-    if args.action == "schedule":
-        values = {
-            "levels": [
-                {"d": s.d, "k": str(s.k), "beta": frac_str(s.beta), "ell": None if s.ell is None else str(s.ell)}
-                for s in blocker_schedule(args.max_level)
-            ]
-        }
-        em.emit(values)
-        return 0
-    if args.action == "build":
-        if not args.verify and args.budget != DEFAULT_VERIFY_BUDGET:
-            raise UsageError("--budget bounds blocker verification; use it with --verify")
-        base = pair_blockers(args.bits)
-        tuples = build_ell_tuples(
-            args.bits, 2, seed=args.seed, target_measure=args.target_measure
-        )
-        fam = lift_blockers(base, tuples)
-        values = {"family": family_to_json(fam), "num_tuples": len(tuples.tuples)}
-        if args.verify:
-            wf = winning_family("dictator", args.bits)
-            verdicts = [
-                verify_blocker(args.bits, 2, b, wf, budget=args.budget).is_blocker
-                for b in fam.blockers
-            ]
-            values["verified"] = all(verdicts)
-            values["verdicts"] = verdicts
-        em.emit(values)
-        return 0
-    # verify
+def cmd_blockers_verify(args, em: Emitter) -> None:
     with open(args.file) as fh:
         payload = json.load(fh)
     is_family = isinstance(payload, dict) and isinstance(payload.get("blockers"), list)
@@ -287,7 +286,7 @@ def cmd_blockers(args, em: Emitter) -> int:
         n, t, tuples = tuples_from_json(cand)
         if wf is None or wf.n != n:
             wf = winning_family(args.kind, n)
-        res = verify_blocker(n, t, tuples, wf, budget=args.budget)
+        res = verify_blocker(n, t, tuples, wf, **given(args, "budget"))
         results.append(
             {
                 "n": n,
@@ -307,90 +306,94 @@ def cmd_blockers(args, em: Emitter) -> int:
             }
         )
     em.emit({"results": results})
-    return 0
 
 
-def cmd_subgraph(args, em: Emitter) -> int:
+def cmd_alphastarstar(args, em: Emitter) -> None:
+    refuse_given(args, not args.mc, "seed", "samples", only="with --mc")
     G, _ = load_graph(args)
-    if args.action == "alphastarstar":
-        if not args.mc and (args.seed is not None or args.samples != DEFAULT_SAMPLES):
-            raise UsageError("--seed and --samples steer only the Monte-Carlo estimate, --mc")
-        if args.mc:
-            if args.seed is None:
-                raise UsageError("--seed is required for Monte-Carlo mode")
-            res = alpha_star_star_mc(G, args.samples, args.seed)
-            values = {
-                "mode": res.mode,
-                "estimate": float(res.estimate),
-                "stderr": res.stderr,
-                "samples": res.samples,
-            }
-        else:
-            res = alpha_star_star_exact(G)
-            values = {"mode": res.mode, "estimate": frac_str(res.estimate)}
-        values["fingerprint"] = res.fingerprint
-        em.emit(values)
-        return 0
-    if args.action == "hajnal":
-        rep = hajnal_check(G, cap=args.cap)
+    if args.mc:
+        if args.seed is None:
+            raise UsageError("--seed is required for Monte-Carlo mode")
+        res = alpha_star_star_mc(G, seed=args.seed, **given(args, "samples"))
         values = {
-            "alpha": rep.alpha,
-            "intersection_size": rep.intersection_size,
-            "union_size": rep.union_size,
-            "pass": rep.passed,
+            "mode": res.mode,
+            "estimate": float(res.estimate),
+            "stderr": res.stderr,
+            "samples": res.samples,
         }
-        em.emit(values)
-        return 0
-    if args.action == "removal":
-        if not 0 <= args.target_size <= G.n:
-            raise UsageError(f"--target-size must lie in [0, {G.n}], got {args.target_size}")
-        trace = removal_trace(G, args.target_size, args.seed, args.threshold)
-        em.raw("step,removed_vertex,alpha,successful")
-        for i, step in enumerate(trace.steps, start=1):
-            em.raw(f"{i},{step.removed_vertex},{step.alpha},{int(step.successful)}")
-        return 0
-    if args.action == "t16":
-        rep = alpha_star_star_margin(G, samples=args.samples, seed=args.seed)
-        values = {
-            "alpha_bar": frac_str(rep.alpha_bar),
-            "tau": frac_str(rep.tau),
-            "bound": frac_str(rep.bound),
-            "mode": rep.mode,
-            "estimate": frac_str(rep.estimate) if rep.mode == "exact" else float(rep.estimate),
-            "stderr": rep.stderr,
-            "pass": rep.passed,
-        }
-        em.emit(values)
-        return 0
-    # partition-bound
+    else:
+        res = alpha_star_star_exact(G)
+        values = {"mode": res.mode, "estimate": frac_str(res.estimate)}
+    values["fingerprint"] = res.fingerprint
+    em.emit(values)
+
+
+def cmd_hajnal(args, em: Emitter) -> None:
+    G, _ = load_graph(args)
+    rep = hajnal_check(G, **given(args, "cap"))
+    em.emit({
+        "alpha": rep.alpha,
+        "intersection_size": rep.intersection_size,
+        "union_size": rep.union_size,
+        "pass": rep.passed,
+    })
+
+
+def cmd_removal(args, em: Emitter) -> None:
+    G, _ = load_graph(args)
+    if not 0 <= args.target_size <= G.n:
+        raise UsageError(f"--target-size must lie in [0, {G.n}], got {args.target_size}")
+    trace = removal_trace(G, args.target_size, args.seed, args.threshold)
+    em.raw("step,removed_vertex,alpha,successful")
+    for i, step in enumerate(trace.steps, start=1):
+        em.raw(f"{i},{step.removed_vertex},{step.alpha},{int(step.successful)}")
+
+
+def cmd_t16(args, em: Emitter) -> None:
+    G, _ = load_graph(args)
+    rep = alpha_star_star_margin(G, seed=args.seed, **given(args, "samples"))
+    em.emit({
+        "alpha_bar": frac_str(rep.alpha_bar),
+        "tau": frac_str(rep.tau),
+        "bound": frac_str(rep.bound),
+        "mode": rep.mode,
+        "estimate": frac_str(rep.estimate) if rep.mode == "exact" else float(rep.estimate),
+        "stderr": rep.stderr,
+        "pass": rep.passed,
+    })
+
+
+def cmd_partition_bound(args, em: Emitter) -> None:
+    refuse_given(args, args.exact, "seed", "samples", only="without --exact")
     if not args.exact and args.seed is None:
         raise UsageError("--seed is required unless --exact is given")
-    if args.sampler == "binomial" and args.hats != DEFAULT_SAMPLER_HATS:
-        raise UsageError("--hats sizes an rv: sampler; the binomial sampler does not read it")
+    G, _ = load_graph(args)
     with open(args.partition_file) as fh:
         parts = json.load(fh)
     partition = [VertexSet.from_indices(G.n, p) for p in parts]
     sampler = args.sampler
     if sampler != "binomial":
-        sampler = winning_family(sampler[len("rv:"):], args.hats)
+        # one winning set per part; r strictly increases with n for every kind
+        n = 1
+        while (fam := winning_family(sampler[len("rv:"):], n)).r < len(parts):
+            n += 1
+        sampler = fam
     mode = "exact" if args.exact else ("mc" if args.mc else "auto")
     res = partition_bound_eval(
-        G, partition, sampler=sampler, samples=args.samples, seed=args.seed, mode=mode
+        G, partition, sampler=sampler, seed=args.seed, mode=mode, **given(args, "samples")
     )
-    values = {
+    em.emit({
         "r": res.r,
         "sampler": res.sampler,
         "mode": res.mode,
         "estimate": frac_str(res.estimate) if res.mode == "exact" else float(res.estimate),
         "stderr": res.stderr,
-    }
-    em.emit(values)
-    return 0
+    })
 
 
-def cmd_hitting(args, em: Emitter) -> int:
+def cmd_hitting(args, em: Emitter) -> None:
     G, labels = load_graph(args)
-    res = h_of_graph(G, cap=args.cap, budget=args.budget, threshold_eps=args.threshold)
+    res = h_of_graph(G, threshold_eps=args.threshold, **given(args, "cap", "budget"))
     witness = list(res.witness.indices())
     values = {
         "h": res.h,
@@ -407,7 +410,6 @@ def cmd_hitting(args, em: Emitter) -> int:
         m, t = map(int, spec[len("cayley:"):].split(","))
         values["covering_code_ok"] = covering_code_check(m, m // 2 - t, witness)
     em.emit(values)
-    return 0
 
 
 def cmd_suite(args, em: Emitter) -> int:
@@ -446,14 +448,21 @@ def cmd_suite(args, em: Emitter) -> int:
 # ---------------------------------------------------------------------------
 
 
-BUDGET_HELP = "search node budget (default: %(default)s)"
+def _leaf(sub, name: str, handler, graph: bool = False, **kw) -> argparse.ArgumentParser:
+    """A leaf parser that runs ``handler``; ``graph`` requires --graph FILE or --construct SPEC."""
+    p = sub.add_parser(name, **kw)
+    p.set_defaults(handler=handler)
+    if graph:
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--graph")
+        source.add_argument("--construct")
+    return p
 
 
-def _add_graph_source(p: argparse.ArgumentParser) -> None:
-    """--graph FILE or --construct SPEC, at most one (load_graph needs one)."""
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--graph")
-    source.add_argument("--construct")
+def _library_count(p, flag: str, default: int, what: str = "search node budget") -> None:
+    """A count flag with no parser default: the handler passes it on only
+    when given, so ``default``, the library's, applies otherwise."""
+    p.add_argument(flag, type=count, help=f"{what} (default: {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,88 +473,74 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write records to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="emit a graph in the text format")
+    p = _leaf(sub, "construct", cmd_construct, help="emit a graph in the text format")
     p.add_argument("spec", help="kneser:n | shift:k | cayley:m,t | gnp:n,p,seed, optionally ^t")
     p.add_argument("--emit-labels", action="store_true")
 
-    p = sub.add_parser("alpha", help="exact maximum independent set")
-    _add_graph_source(p)
-    p.add_argument("--budget", type=count, default=DEFAULT_NODE_BUDGET, help=BUDGET_HELP)
+    p = _leaf(sub, "alpha", cmd_alpha, graph=True, help="exact maximum independent set")
+    _library_count(p, "--budget", DEFAULT_NODE_BUDGET)
 
-    p = sub.add_parser("hatgame", help="game values for a winning family")
+    p = _leaf(sub, "hatgame", cmd_hatgame, help="game values for a winning family")
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--players", type=count, required=True)
     p.add_argument("--hats", type=count, required=True)
-    p.add_argument("--budget", type=count, default=DEFAULT_TABLE_BUDGET, help=BUDGET_HELP)
+    _library_count(p, "--budget", DEFAULT_TABLE_BUDGET, "table budget of the two-player search")
     p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=count, default=DEFAULT_RESTARTS)
+    _library_count(p, "--restarts", DEFAULT_RESTARTS, "coordinate-ascent restarts")
 
     p = sub.add_parser("blockers", help="blocker schedules, construction, verification")
     bsub = p.add_subparsers(dest="action", required=True)
-    b = bsub.add_parser("schedule")
+    b = _leaf(bsub, "schedule", cmd_blockers_schedule)
     b.add_argument("--max-level", type=count, required=True)
-    b = bsub.add_parser("build", help="a level-2 family, the level materializable at desk scale")
+    b = _leaf(bsub, "build", cmd_blockers_build,
+              help="a level-2 family, the level materializable at desk scale")
     b.add_argument("--bits", type=count, required=True)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--target-measure", type=parse_fraction)
     b.add_argument("--verify", action="store_true")
-    b.add_argument("--budget", type=count, default=DEFAULT_VERIFY_BUDGET, help=BUDGET_HELP)
-    b = bsub.add_parser("verify")
+    _library_count(b, "--budget", DEFAULT_VERIFY_BUDGET)
+    b = _leaf(bsub, "verify", cmd_blockers_verify)
     b.add_argument("--file", required=True)
     b.add_argument("--kind", choices=KINDS, default="dictator")
-    b.add_argument("--budget", type=count, default=DEFAULT_VERIFY_BUDGET, help=BUDGET_HELP)
+    _library_count(b, "--budget", DEFAULT_VERIFY_BUDGET)
 
     p = sub.add_parser("subgraph", help="random induced-subgraph statistics")
     ssub = p.add_subparsers(dest="action", required=True)
-    for action in ("alphastarstar", "hajnal", "removal", "t16", "partition-bound"):
-        s = ssub.add_parser(action)
-        _add_graph_source(s)
-        if action == "alphastarstar":
-            s.add_argument("--mc", action="store_true")
-            s.add_argument("--samples", type=count, default=DEFAULT_SAMPLES)
-            s.add_argument("--seed", type=int)
-        elif action == "hajnal":
-            s.add_argument("--cap", type=count, default=200_000)
-        elif action == "removal":
-            s.add_argument("--target-size", type=int, required=True)
-            s.add_argument("--seed", type=int, required=True)
-            s.add_argument("--threshold", type=parse_fraction, default=Fraction(0))
-        elif action == "t16":
-            s.add_argument("--samples", type=count, default=DEFAULT_SAMPLES)
-            s.add_argument("--seed", type=int, required=True)
-        else:
-            mode = s.add_mutually_exclusive_group()
-            mode.add_argument("--exact", action="store_true")
-            mode.add_argument("--mc", action="store_true")
-            s.add_argument("--partition-file", required=True)
-            s.add_argument("--sampler", default="binomial",
-                           choices=("binomial",) + tuple(f"rv:{kind}" for kind in KINDS),
-                           help="rv:KIND samples the index sets of a winning family")
-            s.add_argument("--hats", type=count, default=DEFAULT_SAMPLER_HATS)
-            s.add_argument("--samples", type=count, default=DEFAULT_SAMPLES)
-            s.add_argument("--seed", type=int)
+    s = _leaf(ssub, "alphastarstar", cmd_alphastarstar, graph=True)
+    s.add_argument("--mc", action="store_true")
+    _library_count(s, "--samples", DEFAULT_SAMPLES, "Monte-Carlo samples")
+    s.add_argument("--seed", type=int)
+    s = _leaf(ssub, "hajnal", cmd_hajnal, graph=True)
+    _library_count(s, "--cap", DEFAULT_ENUM_CAP, "maximum independent sets enumerated")
+    s = _leaf(ssub, "removal", cmd_removal, graph=True)
+    s.add_argument("--target-size", type=int, required=True)
+    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--threshold", type=parse_fraction, default=Fraction(0))
+    s = _leaf(ssub, "t16", cmd_t16, graph=True)
+    _library_count(s, "--samples", DEFAULT_SAMPLES, "Monte-Carlo samples past the exact size")
+    s.add_argument("--seed", type=int, required=True)
+    s = _leaf(ssub, "partition-bound", cmd_partition_bound, graph=True)
+    mode = s.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--mc", action="store_true")
+    s.add_argument("--partition-file", required=True)
+    s.add_argument("--sampler", default="binomial",
+                   choices=("binomial",) + tuple(f"rv:{kind}" for kind in KINDS),
+                   help="rv:KIND samples the index sets of the winning family "
+                        "with one set per part")
+    _library_count(s, "--samples", DEFAULT_SAMPLES, "Monte-Carlo samples")
+    s.add_argument("--seed", type=int)
 
-    p = sub.add_parser("hitting", help="minimum hitting set of maximum independent sets")
-    _add_graph_source(p)
+    p = _leaf(sub, "hitting", cmd_hitting, graph=True,
+              help="minimum hitting set of maximum independent sets")
     p.add_argument("--threshold", type=parse_fraction)
-    p.add_argument("--budget", type=count, default=DEFAULT_HIT_BUDGET, help=BUDGET_HELP)
-    p.add_argument("--cap", type=count, default=200_000)
+    _library_count(p, "--budget", DEFAULT_HIT_BUDGET)
+    _library_count(p, "--cap", DEFAULT_ENUM_CAP, "maximum independent sets enumerated")
 
-    p = sub.add_parser("suite", help="run the acceptance battery")
+    p = _leaf(sub, "suite", cmd_suite, help="run the acceptance battery")
     p.add_argument("--quick", action="store_true")
 
     return parser
-
-
-HANDLERS = {
-    "construct": cmd_construct,
-    "alpha": cmd_alpha,
-    "hatgame": cmd_hatgame,
-    "blockers": cmd_blockers,
-    "subgraph": cmd_subgraph,
-    "hitting": cmd_hitting,
-    "suite": cmd_suite,
-}
 
 
 def run(argv: Sequence[str], capture: bool = False) -> tuple[int, list[dict]]:
@@ -554,11 +549,10 @@ def run(argv: Sequence[str], capture: bool = False) -> tuple[int, list[dict]]:
     With ``capture=True`` nothing is written out; callers inspect the
     returned records instead (used by the determinism replays).
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     em = Emitter(args, argv)
     try:
-        status = HANDLERS[args.command](args, em)
+        status = args.handler(args, em) or 0
     except (
         UsageError,
         BudgetExceededError,

@@ -39,6 +39,7 @@ from .graph_core import enumerate_maximal_independent_sets
 from .rng import randrange
 
 KINDS = ("dictator", "intersecting", "monotone")
+DICTATOR_MAX_N = 16
 INTERSECTING_MAX_N = 4
 MONOTONE_MAX_N = 5
 DEFAULT_TABLE_BUDGET = 2_000_000
@@ -81,8 +82,8 @@ class GameValue:
     n: int
     kind: str
     value: Fraction
-    mode: str  # "exact" | "lower_bound" | "upper_bound"
-    witness: Strategy | None = None
+    mode: str  # "exact" | "lower_bound"
+    witness: Strategy
 
 
 def _dictator_sets(n: int) -> tuple[int, ...]:
@@ -95,8 +96,8 @@ def _dictator_sets(n: int) -> tuple[int, ...]:
 def _balanced_monotone_sets(n: int) -> tuple[int, ...]:
     """All up-closed subsets of {0,1}^n with exactly 2^(n-1) members.
 
-    Recursive assignment over words in decreasing-weight order: a word may
-    be included only once all its immediate supersets are included.
+    Explicit-stack assignment over words in decreasing-weight order: a word
+    may be included only once all its immediate supersets are included.
     """
     size = 1 << n
     target = size // 2
@@ -105,34 +106,34 @@ def _balanced_monotone_sets(n: int) -> tuple[int, ...]:
         [w | (1 << j) for j in range(n) if not (w >> j) & 1] for w in words
     ]
     out: list[int] = []
-
-    def assign(pos: int, mask: int, ones: int) -> None:
-        remaining = len(words) - pos
-        if ones > target or ones + remaining < target:
-            return
+    stack = [(0, 0, 0)]  # (position in words, mask, ones)
+    while stack:
+        pos, mask, ones = stack.pop()
+        if ones > target or ones + len(words) - pos < target:
+            continue
         if pos == len(words):
             out.append(mask)
-            return
-        w = words[pos]
+            continue
+        stack.append((pos + 1, mask, ones))
         if all((mask >> s) & 1 for s in supersets[pos]):
-            assign(pos + 1, mask | (1 << w), ones + 1)
-        assign(pos + 1, mask, ones)
-
-    assign(0, 0, 0)
+            stack.append((pos + 1, mask | (1 << words[pos]), ones + 1))
     return tuple(sorted(out))
 
 
 def winning_family(kind: str, n: int) -> WinningFamily:
     """Build the full indexed family of the given kind.
 
-    dictator: the n coordinate sets {x : x_i = 1}, in coordinate order.
-    intersecting: all containment-maximal intersecting families, computed as
-    the maximal independent sets of the disjoint-support graph; guarded to
-    n <= 4.  monotone: all balanced up-closed sets; guarded to n <= 5.
+    dictator: the n coordinate sets {x : x_i = 1}, in coordinate order;
+    guarded to n <= 16.  intersecting: all containment-maximal intersecting
+    families, computed as the maximal independent sets of the disjoint-support
+    graph; guarded to n <= 4.  monotone: all balanced up-closed sets; guarded
+    to n <= 5.
     """
     if n < 1:
         raise ValueError("winning_family needs n >= 1")
     if kind == "dictator":
+        if n > DICTATOR_MAX_N:
+            raise SizeLimitError(f"dictator families built only for n <= {DICTATOR_MAX_N}")
         return WinningFamily(n, kind, _dictator_sets(n))
     if kind == "intersecting":
         if n > INTERSECTING_MAX_N:

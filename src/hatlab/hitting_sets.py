@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .bits import iter_bits
 from .graph_core import (
+    DEFAULT_ENUM_CAP,
     Graph,
     VertexSet,
     enumerate_maximal_independent_sets,
@@ -120,7 +121,7 @@ def min_hitting_set(
 
 def h_of_graph(
     G: Graph,
-    cap: int = 200_000,
+    cap: int = DEFAULT_ENUM_CAP,
     budget: int = DEFAULT_HIT_BUDGET,
     threshold_eps: Fraction | None = None,
 ) -> HittingSetResult:

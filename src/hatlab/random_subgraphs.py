@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .bits import iter_bits
 from .errors import SizeLimitError
 from .graph_core import (
+    DEFAULT_ENUM_CAP,
     Graph,
     VertexSet,
     enumerate_maximum_independent_sets,
@@ -165,7 +166,7 @@ def alpha_star_star_exact(G: Graph, guard: int = EXACT_SUBSET_GUARD) -> AlphaSta
     return AlphaStarStarResult(graph_fingerprint(G), G.n, "exact", value, None, 1 << G.n, None)
 
 
-def alpha_star_star_mc(G: Graph, samples: int, seed: int) -> AlphaStarStarResult:
+def alpha_star_star_mc(G: Graph, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> AlphaStarStarResult:
     """Unbiased Monte-Carlo estimate with standard error."""
     if samples < 1:
         raise ValueError("need samples >= 1")
@@ -174,7 +175,7 @@ def alpha_star_star_mc(G: Graph, samples: int, seed: int) -> AlphaStarStarResult
     return AlphaStarStarResult(graph_fingerprint(G), n, "monte_carlo", mean, stderr, samples, seed)
 
 
-def hajnal_check(G: Graph, cap: int = 200_000) -> HajnalReport:
+def hajnal_check(G: Graph, cap: int = DEFAULT_ENUM_CAP) -> HajnalReport:
     """Intersection and union of all maximum independent sets.
 
     The reported flag checks |intersection| + |union| >= 2 * alpha(G), which

@@ -123,6 +123,20 @@ def maximal_intersecting_families(n: int) -> set[int]:
     return out
 
 
+def balanced_up_closed_sets(n: int) -> set[int]:
+    """Up-closed subsets of {0,1}^n with 2^(n-1) members, found by filtering
+    all 2^(2^n) masks."""
+    words = range(1 << n)
+
+    def up_closed(mask: int) -> bool:
+        return all(
+            (mask >> (w | (1 << j))) & 1 for w in words if (mask >> w) & 1 for j in range(n)
+        )
+
+    half = 1 << (n - 1)
+    return {m for m in range(1 << (1 << n)) if m.bit_count() == half and up_closed(m)}
+
+
 def simulate_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fraction]:
     """Per-tuple forward simulation of a strategy's winning set."""
     N = 1 << family.n

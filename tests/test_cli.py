@@ -1,9 +1,11 @@
 import argparse
+import inspect
 import json
+import re
 
 import pytest
 
-from hatlab import cli
+from hatlab import cli, hat_game
 from hatlab.blockers import DEFAULT_VERIFY_BUDGET
 from hatlab.cli import build_from_spec, build_parser, run
 from hatlab.constructions import kneser_hypercube, shift_graph
@@ -188,27 +190,45 @@ def test_subgraph_partition_bound(tmp_path):
 def test_subgraph_alphastarstar_seed_and_samples_need_mc():
     # the exact estimate reads neither; it used to echo a seed it never used
     argv = ["subgraph", "alphastarstar", "--construct", "gnp:10,0.4,5"]
-    for extra in (["--seed", "3"], ["--samples", "7"], ["--seed", "3", "--samples", "7"]):
+    for extra in (["--seed", "3"], ["--samples", "7"], ["--seed", "3", "--samples", "7"],
+                  ["--samples", "2000"]):
         assert run_capture(argv + extra) == (2, []), extra
-    status, records = run_capture(argv + ["--samples", "2000"])
+    status, records = run_capture(argv)
     assert status == 0 and records[0]["values"]["estimate"] == "1409/5120"
     status, records = run_capture(argv + ["--mc", "--seed", "3", "--samples", "7"])
     assert status == 0 and records[0]["values"]["samples"] == 7 and records[0]["seed"] == 3
 
 
-def test_partition_bound_hats_need_an_rv_sampler(tmp_path):
-    # only an rv: sampler reads --hats; the binomial sampler used to ignore it
+def test_partition_bound_has_no_hats_flag(tmp_path):
+    # an rv: sampler sizes its family from the partition, so --hats is gone
     ppath = tmp_path / "parts.json"
     ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
     argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
             "--partition-file", str(ppath), "--seed", "1"]
-    assert run_capture(argv + ["--hats", "5"]) == (2, [])
-    assert run_capture(argv + ["--sampler", "binomial", "--hats", "3"]) == (2, [])
-    assert run_capture(argv + ["--hats", "2"])[0] == 0
-    status, records = run_capture(argv + ["--sampler", "rv:dictator", "--hats", "3"])
-    assert status == 0 and records[0]["values"]["sampler"] == "r_v(dictator)"
+    for extra in (["--hats", "2"], ["--sampler", "binomial", "--hats", "3"],
+                  ["--sampler", "rv:dictator", "--hats", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + extra)
+        assert exc.value.code == 2, extra
 
 
+def test_partition_bound_rv_sampler_takes_one_set_per_part(tmp_path, monkeypatch, capsys):
+    # this exited 1 while --hats defaulted to 2 (two dictator sets, three parts)
+    ppath = tmp_path / "parts.json"
+    argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
+            "--partition-file", str(ppath), "--seed", "1", "--sampler"]
+    ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
+    status, records = run_capture(argv + ["rv:dictator"])
+    assert status == 0
+    assert records[0]["values"]["sampler"] == "r_v(dictator)" and records[0]["values"]["r"] == 3
+    # no intersecting family has 3 sets (r = 1, 2, 4, 12 for n = 1..4)
+    assert run_capture(argv + ["rv:intersecting"]) == (1, [])
+    assert "one part per winning set" in capsys.readouterr().err
+    # a dictator family needs n = r hats: past its guard the sizing fails
+    # fast instead of building 2^r-bit sets (17 parts would pass 16)
+    monkeypatch.setattr(hat_game, "DICTATOR_MAX_N", 2)
+    assert run_capture(argv + ["rv:dictator"]) == (1, [])
+    assert "dictator families built only for n <= 2" in capsys.readouterr().err
 def test_subgraph_removal_target_size_out_of_range_exits_2(tmp_path, capsys):
     # these used to exit 1 through removal_trace's ValueError
     out = tmp_path / "trace.csv"
@@ -265,8 +285,9 @@ def test_guard_failure_exits_1():
 
 
 def test_missing_graph_source_exits_2():
-    status, _ = run_capture(["alpha"])
-    assert status == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["alpha"])
+    assert exc.value.code == 2
 
 
 def test_handler_usage_errors_exit_2():
@@ -296,6 +317,27 @@ def test_handler_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
+
+
+def test_unread_flags_are_refused_at_their_default_values(tmp_path):
+    # each of these used to run with the flag ignored, because the flag was
+    # compared with a copy of the library default rather than checked as given
+    out = tmp_path / "out.jsonl"
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
+    for argv in (
+        ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--seed", "1",
+         "--budget", "2000000"],
+        ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "1", "--restarts", "4"],
+        ["subgraph", "alphastarstar", "--construct", "gnp:8,0.3,1", "--samples", "2000"],
+        ["blockers", "build", "--bits", "4", "--seed", "3", "--budget", "5000000"],
+        ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9", "--partition-file",
+         str(ppath), "--exact", "--seed", "3", "--samples", "7"],
+        ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9", "--partition-file",
+         str(ppath), "--exact", "--seed", "3"],
+    ):
+        assert run(["--out", str(out), *argv]) == (2, []), argv
+        assert not out.exists(), argv
 
 
 def test_hatgame_needs_a_hat():
@@ -341,7 +383,7 @@ def test_every_count_flag_refuses_zero(tmp_path, capsys):
         (path, flag) for path, flag in _int_options(build_parser())
         if flag not in ("--seed", "--target-size")
     ]
-    assert len(found) == 16
+    assert len(found) == 15
     out = tmp_path / "out.jsonl"
     for path, flag in found:
         build_parser().parse_args(base[path])
@@ -469,13 +511,39 @@ def test_budget_env_var_is_ignored(monkeypatch):
     assert records[0]["values"]["mode"] == "exact"
 
 
-def test_budget_defaults_are_the_library_budgets():
-    parser = build_parser()
-    for argv, budget in (
-        (["alpha"], DEFAULT_NODE_BUDGET),
-        (["hatgame", "--kind", "dictator", "--players", "2", "--hats", "2"], DEFAULT_TABLE_BUDGET),
-        (["blockers", "build", "--bits", "4", "--seed", "1"], DEFAULT_VERIFY_BUDGET),
-        (["blockers", "verify", "--file", "f.json"], DEFAULT_VERIFY_BUDGET),
-        (["hitting"], DEFAULT_HIT_BUDGET),
+def test_budget_defaults_are_the_library_budgets(tmp_path, monkeypatch, capsys):
+    # a run without --budget passes none on, so the library's own budget
+    # applies, and --help still names it
+    seen = {}
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen[name] = bound.arguments["budget"]
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("max_independent_set", "exact_value_two_players", "verify_blocker", "h_of_graph"):
+        spy(name)
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps([["01", "01"]]))
+    for argv, name, budget in (
+        (["alpha", "--construct", "kneser:3"], "max_independent_set", DEFAULT_NODE_BUDGET),
+        (["hatgame", "--kind", "dictator", "--players", "2", "--hats", "2"],
+         "exact_value_two_players", DEFAULT_TABLE_BUDGET),
+        (["blockers", "build", "--bits", "4", "--seed", "1", "--verify"],
+         "verify_blocker", DEFAULT_VERIFY_BUDGET),
+        (["blockers", "verify", "--file", str(path)], "verify_blocker", DEFAULT_VERIFY_BUDGET),
+        (["hitting", "--construct", "shift:2"], "h_of_graph", DEFAULT_HIT_BUDGET),
     ):
-        assert parser.parse_args(argv).budget == budget, argv
+        seen.clear()
+        assert run_capture(argv)[0] == 0 and seen[name] == budget, argv
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--help"])
+        assert exc.value.code == 0, argv
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert re.search(rf"--budget BUDGET [^()]*\(default: {budget}\)", help_text), argv

@@ -25,6 +25,7 @@ from hatlab.hat_game import (
 from hatlab.rng import randrange
 
 from oracles import (
+    balanced_up_closed_sets,
     brute_best_response_table,
     brute_two_player_value,
     maximal_intersecting_families,
@@ -75,6 +76,15 @@ def test_monotone_families_balanced_and_up_closed(n):
             if (mask >> w) & 1:
                 for j in range(n):
                     assert (mask >> (w | (1 << j))) & 1
+
+
+def test_monotone_families_are_complete():
+    # the explicit-stack enumeration finds every balanced up-closed set, sorted
+    fams = [winning_family("monotone", n).sets for n in (1, 2, 3, 4, 5)]
+    assert [len(sets) for sets in fams] == [1, 2, 4, 24, 621]
+    assert all(list(sets) == sorted(sets) for sets in fams)
+    for n in (1, 2, 3, 4):
+        assert set(fams[n - 1]) == balanced_up_closed_sets(n)
 
 
 def test_every_maximal_intersecting_family_is_balanced_monotone():
