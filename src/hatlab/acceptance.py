@@ -1,9 +1,11 @@
 """Acceptance battery: one check per shipped claim, exact where stated.
 
-Each criterion is a function returning a :class:`CheckResult`, and
-``ALL_CHECKS`` lists them in order.  The quick tier shrinks instance
-counts but never loosens a tolerance: exact assertions stay exact,
-Monte-Carlo assertions stay at their stated sigma multiples.
+Each criterion is a body returning ``(passed, detail)``, registered with
+``_criterion``, which numbers it, times it, applies its time limit and
+builds its :class:`CheckResult`; ``ALL_CHECKS`` lists the criteria in
+registration order.  The quick tier shrinks instance counts but never
+loosens a tolerance: exact assertions stay exact, Monte-Carlo assertions
+stay at their stated sigma multiples.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product as iter_product
-from math import comb
+from math import comb, inf
+from typing import Callable
 
 from .blockers import (
     blocker_schedule,
@@ -48,6 +51,32 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
+
+
+ALL_CHECKS: list[Callable[[bool], CheckResult]] = []
+
+
+def _criterion(name: str, limit: float = inf):
+    """Register a check body as the next criterion of ``ALL_CHECKS``.
+
+    The body returns ``(passed, detail)``; the criterion also fails unless
+    the body took less than ``limit`` seconds.
+    """
+
+    def register(body: Callable[[bool], tuple[bool, str]]) -> Callable[[bool], CheckResult]:
+        cid = len(ALL_CHECKS) + 1
+
+        @wraps(body)
+        def check(quick: bool) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = body(quick)
+            seconds = time.perf_counter() - t0
+            return CheckResult(cid, name, passed and seconds < limit, detail, seconds)
+
+        ALL_CHECKS.append(check)
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -107,45 +136,36 @@ def _edge_k4_union(a: int, b: int, seed: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Criteria
+# Criteria, numbered in the order they are registered
 # ---------------------------------------------------------------------------
 
 
-def check_1_kneser_alpha(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("kneser_alpha_baseline")
+def check_1_kneser_alpha(quick: bool) -> tuple[bool, str]:
     passed = True
     details = []
     for n in range(2, 6):
         t1 = time.perf_counter()
         res = max_independent_set(kneser_hypercube(n))
-        dt = time.perf_counter() - t1
-        ok = res.alpha == 1 << (n - 1) and dt < 1.0
-        passed &= ok
+        passed &= res.alpha == 1 << (n - 1) and time.perf_counter() - t1 < 1.0
         details.append(f"n={n}:{res.alpha}")
-    return CheckResult(
-        1, "kneser_alpha_baseline", passed,
-        "alpha(K(n))=2^(n-1) for n=2..5 [" + " ".join(details) + "]",
-        time.perf_counter() - t0,
-    )
+    return passed, "alpha(K(n))=2^(n-1) for n=2..5 [" + " ".join(details) + "]"
 
 
-def check_2_game_graph_identity(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
-    ns = (2,) if quick else (2, 3)
+@_criterion("game_graph_identity", limit=300.0)
+def check_2_game_graph_identity(quick: bool) -> tuple[bool, str]:
     passed = True
     details = []
-    for n in ns:
+    for n in (2,) if quick else (2, 3):
         lhs = _p2("intersecting", n)
         rhs = _alpha_bar_power(n, 2)
         passed &= lhs == rhs
         details.append(f"n={n}:{lhs}={rhs}")
-    dt = time.perf_counter() - t0
-    passed &= dt < 300.0
-    return CheckResult(2, "game_graph_identity", passed, "; ".join(details), dt)
+    return passed, "; ".join(details)
 
 
-def check_3_power_monotonicity(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("power_monotonicity")
+def check_3_power_monotonicity(quick: bool) -> tuple[bool, str]:
     seq2 = [_alpha_bar_power(2, t) for t in (1, 2, 3)]
     seq3 = [_alpha_bar_power(3, t) for t in (1, 2)]
     ok2 = all(seq2[i] >= seq2[i + 1] for i in range(len(seq2) - 1))
@@ -154,31 +174,28 @@ def check_3_power_monotonicity(quick: bool) -> CheckResult:
         "K(2) powers " + ">=".join(str(b) for b in seq2)
         + "; K(3) powers " + ">=".join(str(b) for b in seq3)
     )
-    return CheckResult(3, "power_monotonicity", ok2 and ok3, detail, time.perf_counter() - t0)
+    return ok2 and ok3, detail
 
 
-def check_4_folklore_bound(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
-    bound = lemma_bound(Fraction(1, 2), 2, Fraction(1))
-    passed = bound == Fraction(3, 8)
-    ns = (1, 2) if quick else (1, 2, 3)
+@_criterion("folklore_three_eighths")
+def check_4_folklore_bound(quick: bool) -> tuple[bool, str]:
+    passed = lemma_bound(Fraction(1, 2), 2, Fraction(1)) == Fraction(3, 8)
     vals = []
-    for n in ns:
+    for n in (1, 2) if quick else (1, 2, 3):
         v = _p2("dictator", n)
         passed &= v <= Fraction(3, 8)
         vals.append(f"p(2,{n})={v}")
     detail = f"lemma gives 3/8; certified lower bounds for the 2-player limit: {', '.join(vals)}"
-    return CheckResult(4, "folklore_three_eighths", passed, detail, time.perf_counter() - t0)
+    return passed, detail
 
 
-def check_5_strict_monotonicity(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
-    ns = (1, 2) if quick else (1, 2, 3)
+@_criterion("strict_player_monotonicity")
+def check_5_strict_monotonicity(quick: bool) -> tuple[bool, str]:
     passed = True
     details = []
     delta = Fraction(1, (1 << 12) * 144)  # 2^-12 * (1/12) / 12 from the level-2 schedule
     level2 = blocker_schedule(2)[1]
-    for n in ns:
+    for n in (1, 2) if quick else (1, 2, 3):
         p2 = _p2("dictator", n)
         passed &= p2 < Fraction(1, 2)
         upper3 = lemma_bound(p2, level2.k, level2.beta)
@@ -188,7 +205,7 @@ def check_5_strict_monotonicity(quick: bool) -> CheckResult:
     count, certified = _certify_level2(4, (101,))
     passed &= certified
     details.append(f"level-2 blockers certified at n=4 ({count} checked)")
-    return CheckResult(5, "strict_player_monotonicity", passed, "; ".join(details), time.perf_counter() - t0)
+    return passed, "; ".join(details)
 
 
 def _brute_force_blocker_oracle(n: int) -> list[int]:
@@ -202,8 +219,8 @@ def _brute_force_blocker_oracle(n: int) -> list[int]:
     ]
 
 
-def check_6_blocker_certification(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("blocker_certification", limit=600.0)
+def check_6_blocker_certification(quick: bool) -> tuple[bool, str]:
     seeds = (101,) if quick else (101, 202, 303)
     passed = True
     details = []
@@ -234,24 +251,21 @@ def check_6_blocker_certification(quick: bool) -> CheckResult:
         brute = all(w & amask for w in oracle_sets)
         agree += verdict == brute
     passed &= agree == candidates
-    dt = time.perf_counter() - t0
-    passed &= dt < 600.0
     details.append(f"verifier vs brute force: {agree}/{candidates} agree")
-    return CheckResult(6, "blocker_certification", passed, "; ".join(details), dt)
+    return passed, "; ".join(details)
 
 
-def check_7_schedule_exactness(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("schedule_exactness")
+def check_7_schedule_exactness(quick: bool) -> tuple[bool, str]:
     sch = blocker_schedule(3)
     expected_k = (2, 12, 32_449_872)
     expected_beta = (Fraction(1), Fraction(1, 12), Fraction(1, 24 * comb(24, 12)))
     passed = all(s.k == k and s.beta == b for s, k, b in zip(sch, expected_k, expected_beta))
-    detail = "; ".join(f"d={s.d}: k={s.k}, beta={s.beta}" for s in sch)
-    return CheckResult(7, "schedule_exactness", passed, detail, time.perf_counter() - t0)
+    return passed, "; ".join(f"d={s.d}: k={s.k}, beta={s.beta}" for s in sch)
 
 
-def check_8_shift_graph_regression(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("shift_graph_regression", limit=60.0)
+def check_8_shift_graph_regression(quick: bool) -> tuple[bool, str]:
     passed = True
     details = []
     for k in (1, 2, 3):
@@ -259,16 +273,13 @@ def check_8_shift_graph_regression(quick: bool) -> CheckResult:
         res = max_independent_set(G)
         sets = enumerate_maximum_independent_sets(G)
         hres = h_of_graph(G)
-        ok = res.alpha == k * k and len(sets) == comb(2 * k, k) and hres.h == k + 1 and hres.exact
-        passed &= ok
+        passed &= res.alpha == k * k and len(sets) == comb(2 * k, k) and hres.h == k + 1 and hres.exact
         details.append(f"k={k}: alpha={res.alpha}, #max={len(sets)}, h={hres.h}")
-    dt = time.perf_counter() - t0
-    passed &= dt < 60.0
-    return CheckResult(8, "shift_graph_regression", passed, "; ".join(details), dt)
+    return passed, "; ".join(details)
 
 
-def check_9_distance_graph_regression(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("distance_graph_regression", limit=300.0)
+def check_9_distance_graph_regression(quick: bool) -> tuple[bool, str]:
     G = cayley_distance_graph(4, 1)
     res = max_independent_set(G)
     passed = res.alpha == 5
@@ -285,17 +296,15 @@ def check_9_distance_graph_regression(quick: bool) -> CheckResult:
     passed &= hres.exact and covering_code_check(4, 1, code) and hres.h >= 2
     alpha6 = max_independent_set(cayley_distance_graph(6, 1)).alpha
     passed &= alpha6 == 22
-    dt = time.perf_counter() - t0
-    passed &= dt < 300.0
     detail = (
         f"m=4: alpha=5, 16 radius-1 balls are the maximum sets, h={hres.h} "
         f"(covering code ok, h>=2); m=6: alpha={alpha6}"
     )
-    return CheckResult(9, "distance_graph_regression", passed, detail, dt)
+    return passed, detail
 
 
-def check_10_hajnal_property(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("hajnal_property")
+def check_10_hajnal_property(quick: bool) -> tuple[bool, str]:
     per_p = 40 if quick else 200
     failures = 0
     total = 0
@@ -305,13 +314,12 @@ def check_10_hajnal_property(quick: bool) -> CheckResult:
             total += 1
             if not hajnal_check(G).passed:
                 failures += 1
-    passed = failures == 0
     detail = f"intersection+union >= 2*alpha on {total} G(12,p) samples, {failures} failures"
-    return CheckResult(10, "hajnal_property", passed, detail, time.perf_counter() - t0)
+    return failures == 0, detail
 
 
-def check_11_alpha_star_star_oracles(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("alpha_star_star_oracles")
+def check_11_alpha_star_star_oracles(quick: bool) -> tuple[bool, str]:
     single_edge = make_graph(2, [(0, 1)])
     edgeless = make_graph(6, [])
     passed = alpha_star_star_exact(single_edge).estimate == Fraction(3, 8)
@@ -327,8 +335,7 @@ def check_11_alpha_star_star_oracles(quick: bool) -> CheckResult:
         if abs(float(mc.estimate) - float(exact)) <= 5.0 * mc.stderr:
             agree += 1
     passed &= agree == graphs
-    detail = f"edge=3/8, edgeless=1/2 exact; MC within 5 stderr on {agree}/{graphs} graphs"
-    return CheckResult(11, "alpha_star_star_oracles", passed, detail, time.perf_counter() - t0)
+    return passed, f"edge=3/8, edgeless=1/2 exact; MC within 5 stderr on {agree}/{graphs} graphs"
 
 
 MARGIN_CORPUS = (
@@ -337,8 +344,8 @@ MARGIN_CORPUS = (
 )
 
 
-def check_12_margin_bound(quick: bool) -> CheckResult:
-    t0 = time.perf_counter()
+@_criterion("margin_bound")
+def check_12_margin_bound(quick: bool) -> tuple[bool, str]:
     corpus = MARGIN_CORPUS[:8] if quick else MARGIN_CORPUS
     passed = True
     worst = None
@@ -354,7 +361,7 @@ def check_12_margin_bound(quick: bool) -> CheckResult:
         f"{len(corpus)} graphs with tau in [0.02,0.2] all meet the bound; "
         f"smallest slack {worst[0]:.4f} at (edges={worst[1]}, K4s={worst[2]}, {worst[3]})"
     )
-    return CheckResult(12, "margin_bound", passed, detail, time.perf_counter() - t0)
+    return passed, detail
 
 
 DETERMINISM_COMMANDS = (
@@ -381,35 +388,15 @@ def _strip_volatile(records: list[dict]) -> list[dict]:
     return out
 
 
-def check_13_determinism(quick: bool) -> CheckResult:
+@_criterion("determinism_replay")
+def check_13_determinism(quick: bool) -> tuple[bool, str]:
     from .cli import run as cli_run
 
-    t0 = time.perf_counter()
     commands = DETERMINISM_COMMANDS[:4] if quick else DETERMINISM_COMMANDS
-    passed = True
     matched = 0
     for cmd in commands:
         status_a, rec_a = cli_run(cmd, capture=True)
         status_b, rec_b = cli_run(cmd, capture=True)
-        same = status_a == status_b == 0 and _strip_volatile(rec_a) == _strip_volatile(rec_b)
-        matched += same
-        passed &= same
+        matched += status_a == status_b == 0 and _strip_volatile(rec_a) == _strip_volatile(rec_b)
     detail = f"{matched}/{len(commands)} seeded commands bit-identical across two runs"
-    return CheckResult(13, "determinism_replay", passed, detail, time.perf_counter() - t0)
-
-
-ALL_CHECKS = (
-    check_1_kneser_alpha,
-    check_2_game_graph_identity,
-    check_3_power_monotonicity,
-    check_4_folklore_bound,
-    check_5_strict_monotonicity,
-    check_6_blocker_certification,
-    check_7_schedule_exactness,
-    check_8_shift_graph_regression,
-    check_9_distance_graph_regression,
-    check_10_hajnal_property,
-    check_11_alpha_star_star_oracles,
-    check_12_margin_bound,
-    check_13_determinism,
-)
+    return matched == len(commands), detail

@@ -78,8 +78,9 @@ from .random_subgraphs import (
 )
 
 
-class UsageError(ValueError):
-    """A handler found an invalid combination of arguments (exit code 2)."""
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """An invalid argument, or combination of arguments, found by a flag's
+    type at parse time or by a handler (exit code 2 either way)."""
 
 
 def frac_str(x: Fraction) -> str:
@@ -102,36 +103,42 @@ def count(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Construct-spec strings: kneser:n | shift:k | cayley:m,t | gnp:n,p,seed,
-# each optionally followed by ^t for the t-fold Hamming power.
+# Construct specs, each optionally followed by ^t for the t-fold Hamming power
 # ---------------------------------------------------------------------------
 
+SPEC_FORMS = "kneser:n | shift:k | cayley:m,t | gnp:n,p,seed, each with an optional ^t"
+SPEC_FIELDS = {"kneser": (int,), "shift": (int,), "cayley": (int, int), "gnp": (int, float, int)}
 
-def build_from_spec(spec: str) -> tuple[Graph, list[str] | None]:
-    power = 1
-    if "^" in spec:
-        spec, _, pw = spec.partition("^")
-        power = int(pw)
-        if power < 1:
-            raise ValueError("power suffix must be >= 1")
-    name, _, argstr = spec.partition(":")
-    args = argstr.split(",") if argstr else []
+
+def parse_spec(text: str) -> tuple[str, tuple, int]:
+    """(name, fields, power) of a construct spec; a malformed spec is a usage error.
+
+    Only the form is checked here: a constructor still refuses values it
+    cannot build, such as an odd m (exit code 1).
+    """
+    body, hat, power = text.partition("^")
+    name, _, fields = body.partition(":")
+    types = SPEC_FIELDS.get(name, ())
+    values = fields.split(",")
+    try:
+        if len(values) != len(types) or hat and int(power) < 1:
+            raise ValueError
+        return name, tuple(kind(v) for kind, v in zip(types, values)), int(power) if hat else 1
+    except ValueError:
+        raise UsageError(f"malformed construct spec {text!r}; expected {SPEC_FORMS}") from None
+
+
+def build_from_spec(spec: str | tuple[str, tuple, int]) -> tuple[Graph, list[str] | None]:
+    """The graph of a construct spec, as text or parsed, and its vertex labels."""
+    name, fields, power = parse_spec(spec) if isinstance(spec, str) else spec
     if name == "kneser":
-        (n,) = map(int, args)
-        G, labels = kneser_hypercube(n), hypercube_labels(n)
+        G, labels = kneser_hypercube(*fields), hypercube_labels(*fields)
     elif name == "shift":
-        (k,) = map(int, args)
-        G, labels = shift_graph(k), shift_graph_labels(k)
+        G, labels = shift_graph(*fields), shift_graph_labels(*fields)
     elif name == "cayley":
-        m, t = map(int, args)
-        G, labels = cayley_distance_graph(m, t), hypercube_labels(m)
-    elif name == "gnp":
-        if len(args) != 3:
-            raise ValueError("gnp spec needs n,p,seed")
-        G = random_gnp(int(args[0]), float(args[1]), int(args[2]))
-        labels = None
+        G, labels = cayley_distance_graph(*fields), hypercube_labels(fields[0])
     else:
-        raise ValueError(f"unknown construct spec {name!r}")
+        G, labels = random_gnp(*fields), None
     if power > 1:
         G = hamming_power(G, power)
         labels = product_labels([labels] * power) if labels is not None else None
@@ -404,10 +411,10 @@ def cmd_hitting(args, em: Emitter) -> None:
     }
     if labels:
         values["witness_labels"] = [labels[v] for v in witness]
-    spec, _, power = (args.construct or "").partition("^")
+    name, fields, power = args.construct or ("", (), 1)
     # covering codes live on the Cayley graph itself, not on its Hamming powers
-    if spec.startswith("cayley:") and int(power or 1) == 1:
-        m, t = map(int, spec[len("cayley:"):].split(","))
+    if name == "cayley" and power == 1:
+        m, t = fields
         values["covering_code_ok"] = covering_code_check(m, m // 2 - t, witness)
     em.emit(values)
 
@@ -415,12 +422,10 @@ def cmd_hitting(args, em: Emitter) -> None:
 def cmd_suite(args, em: Emitter) -> int:
     from .acceptance import ALL_CHECKS
 
-    all_pass = True
     done = 0
     for check in ALL_CHECKS:
         res = check(quick=args.quick)
         status = "PASS" if res.passed else "FAIL"
-        all_pass &= res.passed
         done += res.passed
         # the table streams to stdout as checks finish; JSON records go to --out
         print(f"{status}  {res.cid:2d} {res.name:<28s} {res.seconds:7.2f}s  {res.detail}")
@@ -436,6 +441,7 @@ def cmd_suite(args, em: Emitter) -> int:
             },
             quiet=em.out_path is None,  # table already covers stdout
         )
+    all_pass = done == len(ALL_CHECKS)
     print(
         f"{'ALL PASS' if all_pass else 'FAILURES PRESENT'}: "
         f"{done}/{len(ALL_CHECKS)} criteria ({time.perf_counter() - em.t0:.1f}s)"
@@ -455,7 +461,7 @@ def _leaf(sub, name: str, handler, graph: bool = False, **kw) -> argparse.Argume
     if graph:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--graph")
-        source.add_argument("--construct")
+        source.add_argument("--construct", type=parse_spec, help=SPEC_FORMS)
     return p
 
 
@@ -474,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _leaf(sub, "construct", cmd_construct, help="emit a graph in the text format")
-    p.add_argument("spec", help="kneser:n | shift:k | cayley:m,t | gnp:n,p,seed, optionally ^t")
+    p.add_argument("spec", type=parse_spec, help=SPEC_FORMS)
     p.add_argument("--emit-labels", action="store_true")
 
     p = _leaf(sub, "alpha", cmd_alpha, graph=True, help="exact maximum independent set")

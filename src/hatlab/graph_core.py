@@ -125,6 +125,12 @@ class Graph:
             rows[v] = allowed & ~self.adj[v] & ~(1 << v)
         return tuple(rows), allowed
 
+    @cached_property
+    def _subset_alphas(self) -> tuple[int, ...]:
+        """``subset_alpha_table`` of the graph, built on first use and kept
+        with it, so it lives exactly as long as the graph does."""
+        return tuple(subset_alpha_table(self))
+
 
 @dataclass(frozen=True)
 class MISResult:

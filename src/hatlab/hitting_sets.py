@@ -129,7 +129,8 @@ def h_of_graph(
 
     With ``threshold_eps`` the targets widen to all containment-maximal
     independent sets of size at least (alpha_bar - eps) * n, reusing the
-    same engine.
+    same engine.  ``budget`` bounds the independent-set search behind the
+    targets (alpha with ``threshold_eps``) as well as the hitting-set search.
     """
     if threshold_eps is None:
         targets = enumerate_maximum_independent_sets(G, cap=cap, budget=budget)

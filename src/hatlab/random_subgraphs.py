@@ -30,7 +30,6 @@ from .graph_core import (
     graph_fingerprint,
     max_independent_set,
     subset_alpha,
-    subset_alpha_table,
 )
 from .hat_game import WinningFamily, r_v_distribution
 from .rng import coin_mask, randrange
@@ -120,11 +119,6 @@ class PartitionBoundResult:
     seed: int | None
 
 
-@lru_cache(maxsize=64)
-def _alpha_table_cached(G: Graph) -> tuple[int, ...]:
-    return tuple(subset_alpha_table(G))
-
-
 def _mean_alpha(G: Graph, masks: Iterable[int], exact: bool) -> tuple[Fraction | float, float | None]:
     """Mean of alpha(G[W]) / n over the vertex masks W, the one estimator here.
 
@@ -138,7 +132,7 @@ def _mean_alpha(G: Graph, masks: Iterable[int], exact: bool) -> tuple[Fraction |
     """
     n = G.n
     if n <= EXACT_SUBSET_GUARD or masks == range(1 << n):
-        alpha = _alpha_table_cached(G).__getitem__
+        alpha = G._subset_alphas.__getitem__
     else:
         alpha = lru_cache(maxsize=None)(partial(subset_alpha, G))
     s = total = sq = 0
@@ -289,9 +283,11 @@ def partition_bound_eval(
     masks = _validate_partition(G, partition)
     r = len(masks)
     family = sampler if isinstance(sampler, WinningFamily) else None
-    if family is None:
+    if sampler == "binomial":
         sampler_name = "binomial"
         space: Sequence[int] = range(1 << r)
+    elif family is None:
+        raise ValueError(f"sampler must be 'binomial' or a WinningFamily, got {sampler!r}")
     else:
         if family.r != r:
             raise ValueError("partition must have one part per winning set")

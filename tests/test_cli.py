@@ -284,6 +284,16 @@ def test_guard_failure_exits_1():
     assert status == 1
 
 
+def test_malformed_construct_spec_exits_2(capsys):
+    for spec in ("cayley:4", "kneser:3,4", "shift:", "kneser:x", "kneser", "gnp:10,0.5",
+                 "gnp:10,x,1", "petersen:3", "kneser:3^0", "kneser:3^x", "kneser:3^"):
+        for argv in (["alpha", "--construct", spec], ["construct", spec]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2, argv
+            assert "kneser:n | shift:k | cayley:m,t | gnp:n,p,seed" in capsys.readouterr().err
+
+
 def test_missing_graph_source_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["alpha"])

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -48,6 +50,17 @@ def test_exact_guard():
         alpha_star_star_exact(random_gnp(16, 0.1, seed=1))
     # overridable
     assert alpha_star_star_exact(random_gnp(16, 0.9, seed=1), guard=16).estimate > 0
+
+
+def test_subset_table_dies_with_its_graph():
+    # the table of 2^n alphas is kept with the graph, not in a module cache
+    G = random_gnp(12, 0.3, seed=5)
+    first = alpha_star_star_exact(G).estimate
+    assert alpha_star_star_exact(G).estimate == first
+    dead = weakref.ref(G)
+    del G
+    gc.collect()
+    assert dead() is None
 
 
 def test_alpha_star_star_never_exceeds_alpha_bar():
@@ -260,3 +273,11 @@ def test_partition_validation():
         partition_bound_eval(G, [VertexSet(5, 0b111), VertexSet(5, 0b110)])  # overlap
     with pytest.raises(ValueError):
         partition_bound_eval(G, [VertexSet(5, 0b11111)], sampler=winning_family("dictator", 2))
+
+
+def test_partition_rejects_unknown_sampler():
+    part = [VertexSet(5, 0b11111)]
+    for sampler in ("bogus", "rv:dictator", "Binomial"):
+        with pytest.raises(ValueError, match="sampler"):
+            partition_bound_eval(C5, part, sampler=sampler)
+    assert partition_bound_eval(C5, part, sampler="binomial").sampler == "binomial"
