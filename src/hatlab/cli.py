@@ -94,6 +94,16 @@ def parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 3/8, got {text!r}") from exc
 
 
+def fraction_in(ok, what: str):
+    """The type of a fraction flag that must satisfy ``ok``, named ``what`` when it does not."""
+    def parse(text: str) -> Fraction:
+        value = parse_fraction(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
 def count(text: str) -> int:
     """The type of every count flag (budgets, sizes, samples): an integer >= 1."""
     value = int(text)
@@ -161,6 +171,13 @@ def refuse_given(args, unread: bool, *names: str, only: str) -> None:
     """A usage error if ``unread`` and a named flag was given: the chosen path ignores it."""
     if unread and (flags := given(args, *names)):
         raise UsageError(f"{', '.join('--' + name for name in flags)}: read only {only}")
+
+
+def check_mc(args) -> None:
+    """Exact unless --mc, which needs --seed and alone reads --seed and --samples."""
+    refuse_given(args, not args.mc, "seed", "samples", only="with --mc")
+    if args.mc and args.seed is None:
+        raise UsageError("--seed is required with --mc")
 
 
 class Emitter:
@@ -316,11 +333,9 @@ def cmd_blockers_verify(args, em: Emitter) -> None:
 
 
 def cmd_alphastarstar(args, em: Emitter) -> None:
-    refuse_given(args, not args.mc, "seed", "samples", only="with --mc")
+    check_mc(args)
     G, _ = load_graph(args)
     if args.mc:
-        if args.seed is None:
-            raise UsageError("--seed is required for Monte-Carlo mode")
         res = alpha_star_star_mc(G, seed=args.seed, **given(args, "samples"))
         values = {
             "mode": res.mode,
@@ -371,9 +386,7 @@ def cmd_t16(args, em: Emitter) -> None:
 
 
 def cmd_partition_bound(args, em: Emitter) -> None:
-    refuse_given(args, args.exact, "seed", "samples", only="without --exact")
-    if not args.exact and args.seed is None:
-        raise UsageError("--seed is required unless --exact is given")
+    check_mc(args)
     G, _ = load_graph(args)
     with open(args.partition_file) as fh:
         parts = json.load(fh)
@@ -385,9 +398,9 @@ def cmd_partition_bound(args, em: Emitter) -> None:
         while (fam := winning_family(sampler[len("rv:"):], n)).r < len(parts):
             n += 1
         sampler = fam
-    mode = "exact" if args.exact else ("mc" if args.mc else "auto")
     res = partition_bound_eval(
-        G, partition, sampler=sampler, seed=args.seed, mode=mode, **given(args, "samples")
+        G, partition, sampler=sampler, mode="mc" if args.mc else "exact",
+        **given(args, "seed", "samples"),
     )
     em.emit({
         "r": res.r,
@@ -502,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
               help="a level-2 family, the level materializable at desk scale")
     b.add_argument("--bits", type=count, required=True)
     b.add_argument("--seed", type=int, required=True)
-    b.add_argument("--target-measure", type=parse_fraction)
+    b.add_argument("--target-measure",
+                   type=fraction_in(lambda x: 0 < x <= 1, "a measure in (0, 1]"))
     b.add_argument("--verify", action="store_true")
     _library_count(b, "--budget", DEFAULT_VERIFY_BUDGET)
     b = _leaf(bsub, "verify", cmd_blockers_verify)
@@ -526,9 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     _library_count(s, "--samples", DEFAULT_SAMPLES, "Monte-Carlo samples past the exact size")
     s.add_argument("--seed", type=int, required=True)
     s = _leaf(ssub, "partition-bound", cmd_partition_bound, graph=True)
-    mode = s.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--mc", action="store_true")
+    s.add_argument("--mc", action="store_true")
     s.add_argument("--partition-file", required=True)
     s.add_argument("--sampler", default="binomial",
                    choices=("binomial",) + tuple(f"rv:{kind}" for kind in KINDS),
@@ -539,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _leaf(sub, "hitting", cmd_hitting, graph=True,
               help="minimum hitting set of maximum independent sets")
-    p.add_argument("--threshold", type=parse_fraction)
+    p.add_argument("--threshold", type=fraction_in(lambda x: x >= 0, "an eps >= 0"))
     _library_count(p, "--budget", DEFAULT_HIT_BUDGET)
     _library_count(p, "--cap", DEFAULT_ENUM_CAP, "maximum independent sets enumerated")
 

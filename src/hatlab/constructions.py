@@ -24,6 +24,19 @@ from .rng import chance
 DEFAULT_SIZE_LIMIT = 4096
 
 
+def _check_size(what: str, base: int, exponent: int = 1) -> None:
+    """A SizeLimitError if ``what`` has base**exponent > DEFAULT_SIZE_LIMIT vertices.
+
+    Multiplies one factor at a time and stops past the limit, so no larger
+    power is ever computed, however large the exponent.
+    """
+    size = 1
+    for _ in range(exponent if base > 1 else 0):
+        size *= base
+        if size > DEFAULT_SIZE_LIMIT:
+            raise SizeLimitError(f"{what} has over {DEFAULT_SIZE_LIMIT} vertices")
+
+
 @dataclass(frozen=True)
 class ProductIndex:
     """Mixed-radix codec between flat vertex indices and coordinate tuples."""
@@ -72,10 +85,12 @@ def kneser_hypercube(n: int) -> Graph:
 
     The all-zero word is self-looped (its support is disjoint from itself),
     so independent sets are exactly the intersecting families of {0,1}^n.
-    Adjacency construction costs O(3^n); keep n modest.
+    Adjacency construction costs O(3^n), and the 2^n vertices must not
+    exceed DEFAULT_SIZE_LIMIT, so n <= 12.
     """
-    if not 1 <= n <= 20:
-        raise SizeLimitError("kneser_hypercube needs 1 <= n <= 20")
+    if n < 1:
+        raise ValueError("kneser_hypercube needs n >= 1")
+    _check_size(f"kneser_hypercube({n})", 2, n)
     size = 1 << n
     full = size - 1
     adj = []
@@ -87,15 +102,13 @@ def kneser_hypercube(n: int) -> Graph:
     return Graph(size, tuple(adj))
 
 
-def hamming_product(G: Graph, H: Graph, limit: int = DEFAULT_SIZE_LIMIT) -> Graph:
+def hamming_product(G: Graph, H: Graph) -> Graph:
     """Product where (x, v) ~ (y, u) iff (x == y and v ~ u) or (v == u and x ~ y).
 
     Self-loops propagate: (x, v) is self-looped iff x or v is.  Flat indexing
     puts G as the major factor.
     """
-    size = G.n * H.n
-    if size > limit:
-        raise SizeLimitError(f"product has {size} vertices, over the limit of {limit}")
+    _check_size("the product", G.n * H.n)
     nH = H.n
     # bits of spread[g] sit at positions g' * nH for each neighbor g' of g
     spread = [sum(1 << (gp * nH) for gp in iter_bits(G.adj[g])) for g in range(G.n)]
@@ -104,16 +117,18 @@ def hamming_product(G: Graph, H: Graph, limit: int = DEFAULT_SIZE_LIMIT) -> Grap
         base = g * nH
         for h in range(H.n):
             adj.append((H.adj[h] << base) | (spread[g] << h))
-    return Graph(size, tuple(adj))
+    return Graph(G.n * nH, tuple(adj))
 
 
-def hamming_power(G: Graph, t: int, limit: int = DEFAULT_SIZE_LIMIT) -> Graph:
-    """t-fold left-associated product of G with itself."""
+def hamming_power(G: Graph, t: int) -> Graph:
+    """t-fold left-associated product of G with itself; a graph of at most
+    one vertex is its own power."""
     if t < 1:
         raise ValueError("power needs t >= 1")
-    if G.n**t > limit:
-        raise SizeLimitError(f"power has {G.n ** t} vertices, over the limit of {limit}")
-    return reduce(lambda acc, _: hamming_product(acc, G, limit=limit), range(t - 1), G)
+    _check_size(f"power {t} of a {G.n}-vertex graph", G.n, t)
+    if G.n <= 1:
+        return G
+    return reduce(lambda acc, _: hamming_product(acc, G), range(t - 1), G)
 
 
 def shift_graph(k: int) -> Graph:
@@ -124,6 +139,7 @@ def shift_graph(k: int) -> Graph:
     """
     if k < 1:
         raise ValueError("shift_graph needs k >= 1")
+    _check_size(f"shift_graph({k})", 2 * k * (2 * k - 1))
     points = 2 * k
     pairs = [(i, j) for i in range(1, points + 1) for j in range(1, points + 1) if i != j]
     n = len(pairs)
@@ -144,7 +160,7 @@ def shift_graph_labels(k: int) -> list[str]:
     ]
 
 
-def cayley_distance_graph(m: int, t: int, limit: int = DEFAULT_SIZE_LIMIT) -> Graph:
+def cayley_distance_graph(m: int, t: int) -> Graph:
     """m-bit words, adjacent iff their Hamming distance exceeds m - 2t.
 
     Requires m even and 4t^2 <= m.  Translation-invariant (a Cayley graph of
@@ -154,9 +170,8 @@ def cayley_distance_graph(m: int, t: int, limit: int = DEFAULT_SIZE_LIMIT) -> Gr
         raise ValueError("cayley_distance_graph needs even m >= 2")
     if t < 1 or 4 * t * t > m:
         raise ValueError("cayley_distance_graph needs t >= 1 with 4*t^2 <= m")
+    _check_size(f"cayley_distance_graph({m}, {t})", 2, m)
     size = 1 << m
-    if size > limit:
-        raise SizeLimitError(f"graph has {size} vertices, over the limit of {limit}")
     cut = m - 2 * t
     offsets = [w for w in range(size) if w.bit_count() > cut]
     adj = []
@@ -181,6 +196,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("random_gnp needs n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    _check_size(f"random_gnp({n}, ...)", n)
     adj = [0] * n
     for u in range(n):
         for v in range(u + 1, n):

@@ -87,10 +87,17 @@ class GameValue:
 
 
 def _dictator_sets(n: int) -> tuple[int, ...]:
-    size = 1 << n
-    return tuple(
-        sum(1 << w for w in range(size) if (w >> i) & 1) for i in range(n)
-    )
+    """Set i holds the words with bit i: a period of 2^i words without it,
+    then 2^i with it, doubled until it spans all 2^n words."""
+    sets = []
+    for i in range(n):
+        period = 2 << i
+        s = ((1 << (1 << i)) - 1) << (1 << i)
+        while period < 1 << n:
+            s |= s << period
+            period *= 2
+        sets.append(s)
+    return tuple(sets)
 
 
 def _balanced_monotone_sets(n: int) -> tuple[int, ...]:

@@ -132,6 +132,8 @@ def h_of_graph(
     same engine.  ``budget`` bounds the independent-set search behind the
     targets (alpha with ``threshold_eps``) as well as the hitting-set search.
     """
+    if threshold_eps is not None and threshold_eps < 0:
+        raise ValueError(f"threshold_eps must be >= 0, got {threshold_eps}")
     if threshold_eps is None:
         targets = enumerate_maximum_independent_sets(G, cap=cap, budget=budget)
     else:

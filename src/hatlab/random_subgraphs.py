@@ -265,7 +265,7 @@ def partition_bound_eval(
     sampler: str | WinningFamily = "binomial",
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    mode: str = "auto",
+    mode: str = "exact",
 ) -> PartitionBoundResult:
     """Expected best independent fraction inside a sampled union of parts.
 
@@ -276,9 +276,9 @@ def partition_bound_eval(
     sets containing a uniform point of the family's cube; part indices then
     align with winning-set indices).
 
-    Exact mode enumerates the sampler's distribution and needs r <= 20
-    (binomial) or the family cube enumerable; "auto" picks exact when the
-    graph also admits the subset table, Monte-Carlo otherwise.
+    Mode "exact" enumerates the sampler's distribution and needs r <= 20
+    (binomial) or the family cube enumerable; mode "mc" draws ``samples``
+    index sets from the stream keyed by ``seed``.
     """
     masks = _validate_partition(G, partition)
     r = len(masks)
@@ -294,9 +294,6 @@ def partition_bound_eval(
         sampler_name = f"r_v({family.kind})"
         space = [sum(1 << i for i in r_v_distribution(family, v)) for v in range(1 << family.n)]
 
-    if mode == "auto":
-        exact_ok = r <= EXACT_PARTS_GUARD and G.n <= EXACT_SUBSET_GUARD
-        mode = "exact" if exact_ok else "mc"
     if mode == "exact":
         if family is None and r > EXACT_PARTS_GUARD:
             raise SizeLimitError(f"exact mode enumerates 2^r index sets; r={r} exceeds {EXACT_PARTS_GUARD}")
@@ -309,7 +306,7 @@ def partition_bound_eval(
             for s in range(samples)
         )
     else:
-        raise ValueError("mode must be 'auto', 'exact', or 'mc'")
+        raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     # the parts are disjoint, so the sum of those in R is their union
     unions = (sum(masks[i] for i in iter_bits(R)) for R in index_sets)
     mean, stderr = _mean_alpha(G, unions, exact=mode == "exact")

@@ -173,18 +173,19 @@ def test_subgraph_removal_csv(tmp_path):
 
 
 def test_subgraph_partition_bound(tmp_path):
+    # exact with no mode flag, also past the subset table's n <= 15, where
+    # the size-picked mode this replaced ran Monte-Carlo (0.267925 at --seed 1)
     ppath = tmp_path / "parts.json"
-    ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
-    status, records = run_capture(
-        [
-            "subgraph", "partition-bound",
-            "--construct", "gnp:5,0.4,9",
-            "--partition-file", str(ppath),
-            "--exact",
-        ]
-    )
-    assert status == 0
-    assert records[0]["values"]["mode"] == "exact"
+    for construct, parts, estimate in (
+        ("gnp:5,0.4,9", [[0, 1], [2, 3], [4]], "3/8"),
+        ("gnp:20,0.3,8", [list(range(i, 20, 4)) for i in range(4)], "87/320"),
+    ):
+        ppath.write_text(json.dumps(parts))
+        status, records = run_capture(["subgraph", "partition-bound", "--construct", construct,
+                                       "--partition-file", str(ppath)])
+        assert status == 0 and records[0]["seed"] is None
+        values = records[0]["values"]
+        assert (values["mode"], values["estimate"], values["stderr"]) == ("exact", estimate, None)
 
 
 def test_subgraph_alphastarstar_seed_and_samples_need_mc():
@@ -204,7 +205,7 @@ def test_partition_bound_has_no_hats_flag(tmp_path):
     ppath = tmp_path / "parts.json"
     ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
     argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
-            "--partition-file", str(ppath), "--seed", "1"]
+            "--partition-file", str(ppath)]
     for extra in (["--hats", "2"], ["--sampler", "binomial", "--hats", "3"],
                   ["--sampler", "rv:dictator", "--hats", "3"]):
         with pytest.raises(SystemExit) as exc:
@@ -216,7 +217,7 @@ def test_partition_bound_rv_sampler_takes_one_set_per_part(tmp_path, monkeypatch
     # this exited 1 while --hats defaulted to 2 (two dictator sets, three parts)
     ppath = tmp_path / "parts.json"
     argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
-            "--partition-file", str(ppath), "--seed", "1", "--sampler"]
+            "--partition-file", str(ppath), "--sampler"]
     ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
     status, records = run_capture(argv + ["rv:dictator"])
     assert status == 0
@@ -342,9 +343,9 @@ def test_unread_flags_are_refused_at_their_default_values(tmp_path):
         ["subgraph", "alphastarstar", "--construct", "gnp:8,0.3,1", "--samples", "2000"],
         ["blockers", "build", "--bits", "4", "--seed", "3", "--budget", "5000000"],
         ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9", "--partition-file",
-         str(ppath), "--exact", "--seed", "3", "--samples", "7"],
+         str(ppath), "--seed", "3", "--samples", "7"],
         ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9", "--partition-file",
-         str(ppath), "--exact", "--seed", "3"],
+         str(ppath), "--samples", "2000"],
     ):
         assert run(["--out", str(out), *argv]) == (2, []), argv
         assert not out.exists(), argv
@@ -360,14 +361,14 @@ def test_hatgame_needs_a_hat():
             assert exc.value.code == 2, argv
 
 
-def _int_options(parser, path=()):
-    """(subcommand path, flag) for each option of ``parser`` that takes an integer."""
+def _options(parser, path=()):
+    """(subcommand path, action) for each argument of each leaf parser under ``parser``."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                yield from _int_options(sub, path + (name,))
-        elif action.type in (int, cli.count):
-            yield path, action.option_strings[0]
+                yield from _options(sub, path + (name,))
+        else:
+            yield path, action
 
 
 def test_every_count_flag_refuses_zero(tmp_path, capsys):
@@ -386,12 +387,13 @@ def test_every_count_flag_refuses_zero(tmp_path, capsys):
         ("subgraph", "t16"): ["subgraph", "t16", "--construct", "gnp:8,0.3,1", "--seed", "1"],
         ("subgraph", "partition-bound"): ["subgraph", "partition-bound", "--construct",
                                           "gnp:5,0.4,9", "--partition-file", str(ppath),
-                                          "--sampler", "rv:dictator", "--seed", "1"],
+                                          "--sampler", "rv:dictator", "--mc", "--seed", "1"],
         ("hitting",): ["hitting", "--construct", "shift:2"],
     }
     found = [
-        (path, flag) for path, flag in _int_options(build_parser())
-        if flag not in ("--seed", "--target-size")
+        (path, action.option_strings[0]) for path, action in _options(build_parser())
+        if action.type in (int, cli.count)
+        and action.option_strings[0] not in ("--seed", "--target-size")
     ]
     assert len(found) == 15
     out = tmp_path / "out.jsonl"
@@ -403,13 +405,18 @@ def test_every_count_flag_refuses_zero(tmp_path, capsys):
         assert not out.exists() and capsys.readouterr().out == "", (path, flag)
 
 
-def test_removed_flags_exit_2():
-    # hatgame --mode restated what --players decides; alphastarstar --exact was the default
+def test_removed_flags_exit_2(tmp_path):
+    # hatgame --mode restated what --players decides; --exact selects the
+    # default of alphastarstar and of partition-bound
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0, 1], [2, 3, 4]]))
     for argv in (
         ["hatgame", "--kind", "dictator", "--players", "2", "--hats", "1", "--mode", "exact"],
         ["hatgame", "--kind", "dictator", "--players", "3", "--hats", "1", "--seed", "1",
          "--mode", "lower"],
         ["subgraph", "alphastarstar", "--construct", "gnp:8,0.3,1", "--exact"],
+        ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
+         "--partition-file", str(ppath), "--exact"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -435,7 +442,7 @@ def test_graph_and_construct_are_mutually_exclusive(tmp_path):
         ["subgraph", "hajnal"],
         ["subgraph", "removal", "--target-size", "1", "--seed", "1"],
         ["subgraph", "t16", "--seed", "1"],
-        ["subgraph", "partition-bound", "--partition-file", str(ppath), "--exact"],
+        ["subgraph", "partition-bound", "--partition-file", str(ppath)],
     ):
         assert run_capture(argv + ["--graph", str(gpath)])[0] == 0, argv
         with pytest.raises(SystemExit) as exc:
@@ -443,21 +450,11 @@ def test_graph_and_construct_are_mutually_exclusive(tmp_path):
         assert exc.value.code == 2, argv
 
 
-def test_exact_and_mc_are_mutually_exclusive(tmp_path):
-    ppath = tmp_path / "parts.json"
-    ppath.write_text(json.dumps([[0, 1], [2, 3, 4]]))
-    argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
-            "--partition-file", str(ppath)]
-    with pytest.raises(SystemExit) as exc:
-        run(argv + ["--exact", "--mc"])
-    assert exc.value.code == 2
-
-
 def test_partition_bound_sampler_is_a_choice(tmp_path):
     ppath = tmp_path / "parts.json"
     ppath.write_text(json.dumps([[0, 1, 2], [3, 4]]))
     argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
-            "--partition-file", str(ppath), "--seed", "1", "--sampler"]
+            "--partition-file", str(ppath), "--sampler"]
     status, records = run_capture(argv + ["rv:dictator"])
     assert status == 0 and records[0]["values"]["sampler"] == "r_v(dictator)"
     for sampler in ("foo", "rv:bogus"):
@@ -471,13 +468,74 @@ def test_partition_bound_needs_seed_unless_exact(tmp_path):
     ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
     argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
             "--partition-file", str(ppath)]
-    for mode in ([], ["--mc"]):
-        status, _ = run_capture(argv + mode)
-        assert status == 2, mode
-        status, records = run_capture(argv + mode + ["--seed", "3"])
-        assert status == 0 and records[0]["seed"] == 3, mode
-    status, records = run_capture(argv + ["--exact"])
+    # without --mc the estimate is exact and a seed is refused: the size-picked
+    # mode this replaced demanded one and then echoed it unused
+    assert run_capture(argv + ["--seed", "3"]) == (2, [])
+    status, records = run_capture(argv)
     assert status == 0 and records[0]["seed"] is None
+    assert records[0]["values"]["estimate"] == "3/8"
+    assert run_capture(argv + ["--mc"]) == (2, [])
+    status, records = run_capture(argv + ["--mc", "--seed", "3"])
+    assert status == 0 and records[0]["seed"] == 3
+    assert records[0]["values"]["mode"] == "mc"
+
+
+def test_every_mc_leaf_reads_seed_and_samples_only_with_mc(tmp_path):
+    # one contract for each leaf with --mc: exact without it, --seed and
+    # --samples refused without it, --seed required with it
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0, 1], [2, 3], [4]]))
+    base = {
+        ("subgraph", "alphastarstar"): ["subgraph", "alphastarstar", "--construct", "gnp:5,0.4,9"],
+        ("subgraph", "partition-bound"): ["subgraph", "partition-bound", "--construct",
+                                          "gnp:5,0.4,9", "--partition-file", str(ppath)],
+    }
+    leaves = {path for path, action in _options(build_parser()) if "--mc" in action.option_strings}
+    assert leaves == set(base)
+    out = tmp_path / "out.jsonl"
+    for argv in base.values():
+        for extra in (["--seed", "3"], ["--samples", "7"], ["--seed", "3", "--samples", "7"],
+                      ["--mc"], ["--mc", "--samples", "7"]):
+            assert run(["--out", str(out), *argv, *extra]) == (2, []), (argv, extra)
+            assert not out.exists(), (argv, extra)
+        status, records = run_capture(argv)
+        assert status == 0 and records[0]["values"]["mode"] == "exact", argv
+        status, records = run_capture(argv + ["--mc", "--seed", "3", "--samples", "7"])
+        assert status == 0 and records[0]["seed"] == 3, argv
+
+
+def test_fraction_flags_out_of_range_exit_2(tmp_path, capsys):
+    # these used to exit 1: a negative eps left no target set to hit, and
+    # build_ell_tuples refused the measure
+    out = tmp_path / "out.jsonl"
+    for argv in (
+        ["hitting", "--construct", "shift:2", "--threshold=-1/2"],
+        ["blockers", "build", "--bits", "4", "--seed", "3", "--target-measure", "0"],
+        ["blockers", "build", "--bits", "4", "--seed", "3", "--target-measure", "3/2"],
+        ["blockers", "build", "--bits", "4", "--seed", "3", "--target-measure=-1/4"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(["--out", str(out), *argv])
+        assert exc.value.code == 2, argv
+        assert not out.exists(), argv
+        assert "expected " in capsys.readouterr().err, argv
+    for argv in (
+        ["hitting", "--construct", "shift:2", "--threshold", "0"],
+        ["blockers", "build", "--bits", "4", "--seed", "3", "--target-measure", "1/4"],
+    ):
+        assert run_capture(argv)[0] == 0, argv
+
+
+def test_construct_specs_past_the_size_limit_fail_fast(capsys):
+    # kneser:14 took 11.7 s to build, shift:100 and gnp:20000 ran past 20 s,
+    # and the two powers failed formatting a number of millions of digits
+    for spec in ("kneser:14", "shift:100", "gnp:20000,0.0001,1", "kneser:2^100000000",
+                 "cayley:200000000,1"):
+        assert run_capture(["alpha", "--construct", spec, "--budget", "1"]) == (1, []), spec
+        assert "over 4096 vertices" in capsys.readouterr().err, spec
+    # a power of a one-vertex graph is that graph, built once
+    status, records = run_capture(["alpha", "--construct", "gnp:1,0.5,1^100000"])
+    assert status == 0 and records[0]["values"]["n"] == 1
 
 
 def test_blockers_verify_empty_family_exits_1(tmp_path, capsys):

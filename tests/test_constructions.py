@@ -72,8 +72,27 @@ def test_product_associativity_is_exact_equality():
 
 
 def test_product_size_guard():
-    with pytest.raises(SizeLimitError):
-        hamming_product(kneser_hypercube(4), kneser_hypercube(4), limit=100)
+    with pytest.raises(SizeLimitError, match="over 4096 vertices"):
+        hamming_product(kneser_hypercube(7), kneser_hypercube(6))
+
+
+def test_every_constructor_refuses_past_the_size_limit():
+    # each check runs before any work and never computes the refused power
+    for build in (
+        lambda: kneser_hypercube(13),
+        lambda: shift_graph(33),
+        lambda: cayley_distance_graph(10**8, 1),
+        lambda: random_gnp(4097, 0.5, seed=1),
+        lambda: hamming_power(kneser_hypercube(2), 10**8),
+    ):
+        with pytest.raises(SizeLimitError, match="over 4096 vertices"):
+            build()
+    assert shift_graph(32).n == 4032
+
+
+def test_power_of_one_vertex_graph_is_itself():
+    for G in (random_gnp(1, 0.5, seed=1), make_graph(1, [(0, 0)])):
+        assert hamming_power(G, 10**9) is G and hamming_power(G, 2) == hamming_product(G, G)
 
 
 def test_power_t1_is_identity():

@@ -47,6 +47,15 @@ def test_dictator_family():
     assert fam.sets[0] == sum(1 << w for w in range(8) if w & 1)
 
 
+def test_dictator_sets_match_their_definition():
+    # bit w of set i is bit i of w; the sets used to be summed one word at a time
+    for n in range(1, 13):
+        sets = winning_family("dictator", n).sets
+        assert all(
+            (sets[i] >> w) & 1 == (w >> i) & 1 for i in range(n) for w in range(1 << n)
+        ), n
+
+
 def test_intersecting_family_n2_structure():
     fam = winning_family("intersecting", 2)
     assert fam.r == 2

@@ -151,6 +151,12 @@ def test_threshold_flag_widens_targets():
 # -- covering codes ----------------------------------------------------------
 
 
+def test_negative_threshold_is_refused():
+    # a negative eps asks for sets larger than alpha, so no target existed
+    with pytest.raises(ValueError, match="threshold_eps"):
+        h_of_graph(shift_graph(2), threshold_eps=Fraction(-1, 2))
+
+
 def test_covering_radius_m_covers_all():
     assert covering_code_check(4, 4, [0])
 

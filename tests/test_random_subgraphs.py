@@ -265,6 +265,17 @@ def test_partition_mc_agrees_with_exact():
     assert abs(float(mc.estimate) - float(exact.estimate)) <= 5 * mc.stderr
 
 
+def test_partition_bound_is_exact_unless_mc():
+    # exact by default even past the subset table's n <= 15, where the
+    # size-picked "auto" mode ran Monte-Carlo; "auto" itself is gone
+    G = random_gnp(20, 0.3, seed=8)
+    parts = [VertexSet.from_indices(20, range(i, 20, 4)) for i in range(4)]
+    res = partition_bound_eval(G, parts)
+    assert (res.mode, res.estimate, res.stderr) == ("exact", Fraction(87, 320), None)
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'mc'"):
+        partition_bound_eval(G, parts, mode="auto")
+
+
 def test_partition_validation():
     G = C5
     with pytest.raises(ValueError):

@@ -47,7 +47,8 @@ def test_mc_records_pinned():
     # captured before the partition bound's samplers became index-set spaces
     parts = [VertexSet.from_indices(20, range(i, 20, 4)) for i in range(4)]
     res = partition_bound_eval(random_gnp(20, 0.3, seed=8), parts,
-                               sampler=winning_family("intersecting", 3), samples=150, seed=9)
+                               sampler=winning_family("intersecting", 3), samples=150, seed=9,
+                               mode="mc")
     assert (res.mode, res.estimate, res.stderr) == ("mc", 0.25733333333333336, 0.009090480635283392)
 
 
