@@ -450,6 +450,20 @@ def test_graph_and_construct_are_mutually_exclusive(tmp_path):
         assert exc.value.code == 2, argv
 
 
+def test_exact_and_mc_are_mutually_exclusive(tmp_path):
+    # --exact is gone (exact is the default), so the pair is still refused;
+    # the same argv without --exact runs, so the refusal is --exact's
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0, 1], [2, 3, 4]]))
+    argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
+            "--partition-file", str(ppath)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--exact", "--mc", "--seed", "1"])
+    assert exc.value.code == 2
+    status, records = run_capture(argv + ["--mc", "--seed", "1"])
+    assert status == 0 and records[0]["values"]["mode"] == "mc"
+
+
 def test_partition_bound_sampler_is_a_choice(tmp_path):
     ppath = tmp_path / "parts.json"
     ppath.write_text(json.dumps([[0, 1, 2], [3, 4]]))
