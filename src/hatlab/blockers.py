@@ -222,10 +222,15 @@ def verify_blocker(
     A winning set avoiding A exists iff guesses can be chosen on the views
     that A projects to (per player) so that every tuple of A fails for at
     least one player; all other views are irrelevant.  The search runs over
-    those assignments with early pruning: a branch dies as soon as some
-    tuple has all its players assigned and none wrong.  When A is not a
-    blocker the first avoiding assignment (in lexicographic order) comes
-    back as a partial strategy.
+    those assignments in a fixed variable order, trying guesses in order,
+    with early pruning: a guess dies when some tuple then has all its
+    players assigned and none wrong.  It also dies by forward checking
+    (Haralick & Elliott 1980) when a later variable is left with no guess
+    that fails every tuple it alone still can: the tuples whose other
+    players are all assigned and none wrong.  Forward checking cuts only
+    subtrees that hold no avoiding assignment, so when A is not a blocker
+    the lexicographically first avoiding assignment still comes back, as a
+    partial strategy.  ``nodes`` counts the guesses tried.
 
     Raises :class:`BudgetExceededError` when the budget runs out; the
     verdict is then unknown, never silently passed.
@@ -252,23 +257,38 @@ def verify_blocker(
     var_id = {var: k for k, var in enumerate(variables)}
 
     # per variable k, tuple masks: wrong[k][g] fail when k guesses g, and
-    # closes[k] have k as their last-assigned variable
+    # closes[k] have k as their last-assigned variable; ready[pos] have every
+    # variable but the last at positions <= pos
     r = family.r
+    size = len(variables)
     wrong = [[0] * r for _ in variables]
-    closes = [0] * len(variables)
+    closes = [0] * size
+    ready = [0] * size
+    later: list[set[int]] = [set() for _ in variables]
     for a_idx, a in enumerate(tuples):
         ks = [var_id[(i, a[:i] + a[i + 1 :])] for i in range(t)]
-        closes[max(ks)] |= 1 << a_idx
+        *_, second, last = sorted(ks)
+        closes[last] |= 1 << a_idx
+        ready[second] |= 1 << a_idx
+        later[second].add(last)
         for k, pt in zip(ks, a):
             for g, s in enumerate(family.sets):
                 if not (s >> pt) & 1:
                     wrong[k][g] |= 1 << a_idx
+    for pos in range(1, size):
+        ready[pos] |= ready[pos - 1]
+    # ahead[pos]: per later variable k that closes a tuple made ready at pos,
+    # the ready tuples of k that each guess of k would leave unfailed
+    ahead = [
+        [[closes[k] & ready[pos] & ~w for w in wrong[k]] for k in sorted(later[pos])]
+        for pos in range(size)
+    ]
 
     # failed[pos]: tuples already failed by the guesses at positions < pos
-    failed = [0] * (len(variables) + 1)
-    assignment = [0] * len(variables)
+    failed = [0] * (size + 1)
+    assignment = [0] * size
     nodes = pos = g = 0
-    while pos < len(variables):
+    while pos < size:
         if g == r:  # every guess at pos is dead: backtrack
             if pos == 0:
                 return VerifyResult(True, None, nodes)
@@ -284,6 +304,8 @@ def verify_blocker(
         f = failed[pos] | wrong[pos][g]
         if closes[pos] & ~f:  # a tuple has every player assigned and none wrong
             g += 1
+        elif any(all(m & ~f for m in left) for left in ahead[pos]):
+            g += 1  # a later variable has no guess that fails its ready tuples
         else:
             assignment[pos] = g
             pos += 1

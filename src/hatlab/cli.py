@@ -390,6 +390,10 @@ def cmd_partition_bound(args, em: Emitter) -> None:
     G, _ = load_graph(args)
     with open(args.partition_file) as fh:
         parts = json.load(fh)
+    if not isinstance(parts, list) or not all(
+        isinstance(p, list) and all(type(v) is int for v in p) for p in parts
+    ):
+        raise ValueError(f"{args.partition_file}: need a JSON array of arrays of vertex indices")
     partition = [VertexSet.from_indices(G.n, p) for p in parts]
     sampler = args.sampler
     if sampler != "binomial":

@@ -18,10 +18,8 @@ from functools import reduce
 
 from .bits import iter_bits, iter_submasks, point_to_str
 from .errors import SizeLimitError
-from .graph_core import Graph
+from .graph_core import DEFAULT_SIZE_LIMIT, Graph
 from .rng import chance
-
-DEFAULT_SIZE_LIMIT = 4096
 
 
 def _check_size(what: str, base: int, exponent: int = 1) -> None:

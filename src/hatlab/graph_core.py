@@ -21,10 +21,11 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .bits import iter_bits
-from .errors import BudgetExceededError, CapExceededError, GraphFormatError
+from .errors import BudgetExceededError, CapExceededError, GraphFormatError, SizeLimitError
 
 DEFAULT_NODE_BUDGET = 20_000_000
 DEFAULT_ENUM_CAP = 200_000
+DEFAULT_SIZE_LIMIT = 4096  # vertices, for graph files and every construction
 
 
 @dataclass(frozen=True)
@@ -433,6 +434,10 @@ def parse_graph_text(text: str) -> Graph:
                 raise GraphFormatError(line_no, "non-integer header fields") from None
             if n <= 0 or declared < 0:
                 raise GraphFormatError(line_no, "header values out of range")
+            if n > DEFAULT_SIZE_LIMIT:
+                raise SizeLimitError(
+                    f"line {line_no}: graph has {n} vertices, over {DEFAULT_SIZE_LIMIT}"
+                )
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError(line_no, "edge before header")

@@ -552,6 +552,26 @@ def test_construct_specs_past_the_size_limit_fail_fast(capsys):
     assert status == 0 and records[0]["values"]["n"] == 1
 
 
+def test_graph_files_past_the_size_limit_fail_at_the_header(tmp_path, capsys):
+    # the one-line file below ran for 31 s and printed a record
+    path = tmp_path / "big.txt"
+    path.write_text("graph 200000 0\n")
+    assert run_capture(["alpha", "--graph", str(path), "--budget", "1"]) == (1, [])
+    err = capsys.readouterr().err
+    assert err.startswith("hatlab: error: line 1: ") and "over 4096" in err
+
+
+def test_malformed_partition_files_exit_1(tmp_path, capsys):
+    # the first two ended in a TypeError traceback; booleans are not vertices
+    path = tmp_path / "parts.json"
+    for text in ('{"a": 1}', '[[0, 1], ["x"]]', '[0, 1]', '[[0, 1.0]]', '[[0, true]]'):
+        path.write_text(text)
+        argv = ["subgraph", "partition-bound", "--construct", "gnp:5,0.4,9",
+                "--partition-file", str(path)]
+        assert run_capture(argv) == (1, []), text
+        assert capsys.readouterr().err.startswith("hatlab: error: "), text
+
+
 def test_blockers_verify_empty_family_exits_1(tmp_path, capsys):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"blockers": []}))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hatlab.bits import iter_bits
-from hatlab.errors import BudgetExceededError, CapExceededError, GraphFormatError
+from hatlab.errors import BudgetExceededError, CapExceededError, GraphFormatError, SizeLimitError
 from hatlab.graph_core import (
     DEFAULT_NODE_BUDGET,
     Graph,
@@ -440,3 +440,10 @@ def test_text_rejects_malformed_lines():
         parse_graph_text("graph 2 2\ne 0 1\n")
     with pytest.raises(GraphFormatError, match="line 2"):
         parse_graph_text("graph 2 1\ne 0 5\n")
+
+
+def test_text_refuses_past_the_size_limit_at_the_header():
+    # the header is refused before the malformed edge line after it is read
+    with pytest.raises(SizeLimitError, match="line 1: .* over 4096"):
+        parse_graph_text("graph 4097 1\ne x y\n")
+    assert parse_graph_text("graph 4096 0\n").n == 4096
