@@ -373,7 +373,7 @@ DETERMINISM_COMMANDS = (
     ["blockers", "build", "--bits", "6", "--seed", "7", "--verify"],
     ["subgraph", "alphastarstar", "--construct", "gnp:40,0.2,3", "--mc", "--samples", "200", "--seed", "2"],
     ["subgraph", "alphastarstar", "--construct", "gnp:10,0.4,5", "--mc", "--samples", "300", "--seed", "8"],
-    ["subgraph", "t16", "--construct", "gnp:14,0.62,19", "--samples", "250", "--seed", "4"],
+    ["subgraph", "t16", "--construct", "gnp:14,0.62,19"],
     ["alpha", "--construct", "gnp:25,0.3,21"],
 )
 

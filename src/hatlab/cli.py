@@ -40,13 +40,7 @@ from .constructions import (
     shift_graph,
     shift_graph_labels,
 )
-from .errors import (
-    BudgetExceededError,
-    CapExceededError,
-    GraphFormatError,
-    RetryLimitError,
-    SizeLimitError,
-)
+from .errors import BudgetExceededError, CapExceededError, RetryLimitError
 from .graph_core import (
     DEFAULT_ENUM_CAP,
     DEFAULT_NODE_BUDGET,
@@ -69,6 +63,7 @@ from .hat_game import (
 from .hitting_sets import DEFAULT_HIT_BUDGET, covering_code_check, h_of_graph
 from .random_subgraphs import (
     DEFAULT_SAMPLES,
+    EXACT_SUBSET_GUARD,
     alpha_star_star_exact,
     alpha_star_star_margin,
     alpha_star_star_mc,
@@ -138,9 +133,9 @@ def parse_spec(text: str) -> tuple[str, tuple, int]:
         raise UsageError(f"malformed construct spec {text!r}; expected {SPEC_FORMS}") from None
 
 
-def build_from_spec(spec: str | tuple[str, tuple, int]) -> tuple[Graph, list[str] | None]:
-    """The graph of a construct spec, as text or parsed, and its vertex labels."""
-    name, fields, power = parse_spec(spec) if isinstance(spec, str) else spec
+def build_from_spec(spec: tuple[str, tuple, int]) -> tuple[Graph, list[str] | None]:
+    """The graph of a parsed construct spec (``parse_spec``) and its vertex labels."""
+    name, fields, power = spec
     if name == "kneser":
         G, labels = kneser_hypercube(*fields), hypercube_labels(*fields)
     elif name == "shift":
@@ -373,7 +368,11 @@ def cmd_removal(args, em: Emitter) -> None:
 
 def cmd_t16(args, em: Emitter) -> None:
     G, _ = load_graph(args)
-    rep = alpha_star_star_margin(G, seed=args.seed, **given(args, "samples"))
+    exact = G.n <= EXACT_SUBSET_GUARD
+    refuse_given(args, exact, "seed", "samples", only=f"past {EXACT_SUBSET_GUARD} vertices")
+    if not exact and args.seed is None:
+        raise UsageError(f"--seed is required past {EXACT_SUBSET_GUARD} vertices")
+    rep = alpha_star_star_margin(G, **given(args, "seed", "samples"))
     em.emit({
         "alpha_bar": frac_str(rep.alpha_bar),
         "tau": frac_str(rep.tau),
@@ -542,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threshold", type=parse_fraction, default=Fraction(0))
     s = _leaf(ssub, "t16", cmd_t16, graph=True)
     _library_count(s, "--samples", DEFAULT_SAMPLES, "Monte-Carlo samples past the exact size")
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=int)
     s = _leaf(ssub, "partition-bound", cmd_partition_bound, graph=True)
     s.add_argument("--mc", action="store_true")
     s.add_argument("--partition-file", required=True)
@@ -575,16 +574,7 @@ def run(argv: Sequence[str], capture: bool = False) -> tuple[int, list[dict]]:
     em = Emitter(args, argv)
     try:
         status = args.handler(args, em) or 0
-    except (
-        UsageError,
-        BudgetExceededError,
-        CapExceededError,
-        SizeLimitError,
-        RetryLimitError,
-        GraphFormatError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (BudgetExceededError, CapExceededError, RetryLimitError, ValueError, OSError) as exc:
         print(f"hatlab: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1, em.records
     if not capture:

@@ -114,17 +114,13 @@ class Graph:
         return self.adj[v].bit_count()
 
     @cached_property
-    def _complement_rows(self) -> tuple[tuple[int, ...], int]:
-        """Complement adjacency restricted to non-self-looped vertices.
+    def _allowed(self) -> int:
+        """The vertices without a self-loop, the only ones a search may take.
 
         Built on first use and kept with the (immutable) graph, so the many
         searches of one Monte-Carlo run on the same graph share it.
         """
-        allowed = ((1 << self.n) - 1) & ~self.loops_mask if self.n else 0
-        rows = [0] * self.n
-        for v in iter_bits(allowed):
-            rows[v] = allowed & ~self.adj[v] & ~(1 << v)
-        return tuple(rows), allowed
+        return ((1 << self.n) - 1) & ~self.loops_mask
 
     @cached_property
     def _subset_alphas(self) -> tuple[int, ...]:
@@ -210,15 +206,15 @@ def _color_bound(P: int, adj: Sequence[int], kmin: int) -> tuple[list[int], list
 
 
 def _search(
-    rows: Sequence[int], adj: Sequence[int], P: int, budget: int,
-    alpha: int | None = None, cap: int = DEFAULT_ENUM_CAP,
+    adj: Sequence[int], P: int, budget: int, alpha: int | None = None, cap: int = DEFAULT_ENUM_CAP
 ) -> list[int]:
-    """Coloring branch and bound over complement cliques inside nonempty P.
+    """Coloring branch and bound over complement cliques inside P.
 
     The candidates isolated in G[P] lie in every maximum set, so the root
     frame takes them all at once instead of one branch level each.  They
     are universal in the complement, so each would be a singleton color
     class: the rest of the tree, its witnesses and its bounds are the same.
+    An empty P is all isolated, so it yields ``[0]`` with no node.
 
     Stack frames are [clique, size, candidates, color order, color bounds,
     next index]; a frame is dropped once ``size + bound < need``.  With
@@ -227,11 +223,12 @@ def _search(
     every clique of that size is kept, up to ``cap``.  Exhaustion certifies
     alpha in [floor, isolated count + root color count], or [alpha, alpha].
 
-    ``rows`` are the complement rows and ``adj`` the graph's own.  The root
-    is colored in full, so ``upper`` is certified; a child records only its
-    classes from ``need - r_size - 1`` on and is not pushed without one.
-    ``need`` never falls, so nothing left out could be branched on: the
-    tree, its node counts and its leaves are those of the full coloring.
+    ``adj`` are the graph's own rows.  P holds no self-looped vertex, so
+    branching on v keeps its complement neighbours ``(local ^ bit) & ~adj[v]``.
+    The root is colored in full, so ``upper`` is certified; a child records
+    only its classes from ``need - r_size - 1`` on and is not pushed without
+    one.  ``need`` never falls, so nothing left out could be branched on:
+    the tree, its node counts and its leaves are those of the full coloring.
     """
     iso = 0
     for v in iter_bits(P):
@@ -263,7 +260,7 @@ def _search(
         v = order[i]
         bit = 1 << v
         frame[2], frame[5] = local ^ bit, i
-        child = local & rows[v]
+        child = (local ^ bit) & ~adj[v]
         if child:
             c_order, c_bound = _color_bound(child, adj, need - r_size - 1)
             if c_order:
@@ -286,8 +283,7 @@ def max_independent_set(G: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MISResul
     branching order.  Raises :class:`BudgetExceededError` carrying the best
     lower/upper bounds when the node budget runs out.
     """
-    rows, allowed = G._complement_rows
-    best = _search(rows, G.adj, allowed, budget)[-1] if allowed else 0
+    best = _search(G.adj, G._allowed, budget)[-1]
     alpha = best.bit_count()
     return MISResult(alpha, VertexSet(G.n, best), Fraction(alpha, G.n or 1))
 
@@ -301,10 +297,7 @@ def enumerate_maximum_independent_sets(
     more than ``cap`` sets exist.
     """
     alpha = max_independent_set(G, budget=budget).alpha
-    if alpha == 0:
-        return [VertexSet(G.n, 0)]
-    rows, allowed = G._complement_rows
-    return [VertexSet(G.n, m) for m in sorted(_search(rows, G.adj, allowed, budget, alpha, cap))]
+    return [VertexSet(G.n, m) for m in sorted(_search(G.adj, G._allowed, budget, alpha, cap))]
 
 
 def enumerate_maximal_independent_sets(
@@ -312,13 +305,14 @@ def enumerate_maximal_independent_sets(
 ) -> list[VertexSet]:
     """Containment-maximal independent sets of size >= min_size, sorted.
 
-    Bron-Kerbosch with pivoting on the complement-clique view.  A call's
-    children depend only on it and its earlier siblings, so it pushes them
-    all at once, first child on top.
+    Bron-Kerbosch with pivoting on the complement-clique view, read from
+    the closed rows ``adj[v] | 1 << v``.  A call's children depend only on
+    it and its earlier siblings, so it pushes them all at once, first child
+    on top.
     """
-    rows, allowed = G._complement_rows
+    closed = [row | 1 << v for v, row in enumerate(G.adj)]
     found: list[int] = []
-    stack = [(0, allowed, 0)]
+    stack = [(0, G._allowed, 0)]
     while stack:
         R, P, X = stack.pop()
         if P == 0 and X == 0:
@@ -331,12 +325,12 @@ def enumerate_maximal_independent_sets(
             continue
         if R.bit_count() + P.bit_count() < min_size:
             continue
-        # pivot: vertex of P|X maximizing |P & rows[u]|, lowest index on ties
-        pivot = max(iter_bits(P | X), key=lambda u: (P & rows[u]).bit_count())
+        # pivot: vertex of P|X with the most non-neighbours in P, lowest index on ties
+        pivot = max(iter_bits(P | X), key=lambda u: (P & ~closed[u]).bit_count())
         children = []
-        for v in iter_bits(P & ~rows[pivot]):
+        for v in iter_bits(P & closed[pivot]):
             bit = 1 << v
-            children.append((R | bit, P & rows[v], X & rows[v]))
+            children.append((R | bit, P & ~closed[v], X & ~closed[v]))
             P ^= bit
             X |= bit
         stack.extend(reversed(children))
@@ -371,9 +365,7 @@ def subset_alpha(G: Graph, W: int) -> int:
     """
     if W < 0 or W >> G.n:
         raise ValueError("vertex mask out of range for the graph")
-    rows, allowed = G._complement_rows
-    P = allowed & W
-    return _search(rows, G.adj, P, DEFAULT_NODE_BUDGET)[-1].bit_count() if P else 0
+    return _search(G.adj, G._allowed & W, DEFAULT_NODE_BUDGET)[-1].bit_count()
 
 
 def subset_alpha_table(G: Graph) -> list[int]:

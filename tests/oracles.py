@@ -422,6 +422,15 @@ def reference_min_hitting_set(
     )
 
 
+def complement_rows(G: Graph) -> tuple[list[int], int]:
+    """The complement rows of G among its non-self-looped vertices, and
+    that vertex mask: the view ``reference_search`` runs on, read from
+    ``G.adj`` alone."""
+    allowed = sum(1 << v for v, row in enumerate(G.adj) if not row >> v & 1)
+    rows = [allowed & ~row & ~(1 << v) if allowed >> v & 1 else 0 for v, row in enumerate(G.adj)]
+    return rows, allowed
+
+
 def reference_color_bound(P: int, rows: Sequence[int]) -> tuple[list[int], list[int]]:
     """Greedy coloring of P in the complement view.
 

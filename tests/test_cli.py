@@ -7,7 +7,7 @@ import pytest
 
 from hatlab import cli, hat_game
 from hatlab.blockers import DEFAULT_VERIFY_BUDGET
-from hatlab.cli import build_from_spec, build_parser, run
+from hatlab.cli import build_from_spec, build_parser, parse_spec, run
 from hatlab.constructions import kneser_hypercube, shift_graph
 from hatlab.graph_core import DEFAULT_NODE_BUDGET, make_graph, parse_graph_text, write_graph_text
 from hatlab.hat_game import DEFAULT_TABLE_BUDGET
@@ -32,18 +32,18 @@ def strip_volatile(records):
 
 
 def test_spec_kneser_power():
-    G, labels = build_from_spec("kneser:2^2")
+    G, labels = build_from_spec(parse_spec("kneser:2^2"))
     assert G.n == 16 and labels[0] == "(00,00)"
 
 
 def test_spec_shift():
-    G, labels = build_from_spec("shift:2")
+    G, labels = build_from_spec(parse_spec("shift:2"))
     assert G == shift_graph(2) and labels[0] == "(1,2)"
 
 
 def test_spec_gnp_requires_seed():
-    with pytest.raises(ValueError):
-        build_from_spec("gnp:10,0.5")
+    with pytest.raises(cli.UsageError):
+        parse_spec("gnp:10,0.5")
 
 
 def test_construct_output_parses(tmp_path):
@@ -198,6 +198,18 @@ def test_subgraph_alphastarstar_seed_and_samples_need_mc():
     assert status == 0 and records[0]["values"]["estimate"] == "1409/5120"
     status, records = run_capture(argv + ["--mc", "--seed", "3", "--samples", "7"])
     assert status == 0 and records[0]["values"]["samples"] == 7 and records[0]["seed"] == 3
+
+
+def test_t16_reads_seed_and_samples_only_past_the_exact_size(capsys):
+    # through n = 15 the margin is exact and reads neither flag
+    t16 = ["subgraph", "t16", "--construct"]
+    assert run_capture(t16 + ["gnp:14,0.62,19", "--seed", "4"]) == (2, [])
+    assert "read only past 15 vertices" in capsys.readouterr().err
+    assert run_capture(t16 + ["gnp:16,0.5,1"]) == (2, [])
+    assert "--seed is required" in capsys.readouterr().err
+    status, records = run_capture(t16 + ["gnp:16,0.5,1", "--seed", "1"])
+    assert status == 0 and records[0]["values"]["mode"] == "monte_carlo"
+    assert records[0]["seed"] == 1
 
 
 def test_partition_bound_has_no_hats_flag(tmp_path):
@@ -384,7 +396,7 @@ def test_every_count_flag_refuses_zero(tmp_path, capsys):
         ("subgraph", "alphastarstar"): ["subgraph", "alphastarstar", "--construct",
                                         "gnp:8,0.3,1", "--mc", "--seed", "1"],
         ("subgraph", "hajnal"): ["subgraph", "hajnal", "--construct", "gnp:8,0.3,1"],
-        ("subgraph", "t16"): ["subgraph", "t16", "--construct", "gnp:8,0.3,1", "--seed", "1"],
+        ("subgraph", "t16"): ["subgraph", "t16", "--construct", "gnp:8,0.3,1"],
         ("subgraph", "partition-bound"): ["subgraph", "partition-bound", "--construct",
                                           "gnp:5,0.4,9", "--partition-file", str(ppath),
                                           "--sampler", "rv:dictator", "--mc", "--seed", "1"],
@@ -441,7 +453,7 @@ def test_graph_and_construct_are_mutually_exclusive(tmp_path):
         ["subgraph", "alphastarstar"],
         ["subgraph", "hajnal"],
         ["subgraph", "removal", "--target-size", "1", "--seed", "1"],
-        ["subgraph", "t16", "--seed", "1"],
+        ["subgraph", "t16"],
         ["subgraph", "partition-bound", "--partition-file", str(ppath)],
     ):
         assert run_capture(argv + ["--graph", str(gpath)])[0] == 0, argv
@@ -559,6 +571,13 @@ def test_graph_files_past_the_size_limit_fail_at_the_header(tmp_path, capsys):
     assert run_capture(["alpha", "--graph", str(path), "--budget", "1"]) == (1, [])
     err = capsys.readouterr().err
     assert err.startswith("hatlab: error: line 1: ") and "over 4096" in err
+
+
+def test_malformed_graph_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("e 0 1\ngraph 2 1\n")
+    assert run_capture(["alpha", "--graph", str(path)]) == (1, [])
+    assert capsys.readouterr().err.startswith("hatlab: error: line 1: ")
 
 
 def test_malformed_partition_files_exit_1(tmp_path, capsys):

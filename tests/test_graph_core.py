@@ -21,12 +21,14 @@ from hatlab.graph_core import (
     write_graph_text,
 )
 from hatlab.constructions import cayley_distance_graph, hamming_power, kneser_hypercube, random_gnp
+from hatlab.random_subgraphs import hajnal_check
 from hatlab.rng import chance, randrange, u64
 
 from oracles import (
     brute_alpha,
     brute_maximal_sets,
     brute_maximum_sets,
+    complement_rows,
     is_independent,
     maximal_intersecting_families,
     reference_color_bound,
@@ -208,7 +210,7 @@ def test_search_matches_reference_search():
     with_isolated = budgeted = 0
     for g in range(1200):
         G = _differential_graph(g)
-        rows, allowed = G._complement_rows
+        rows, allowed = complement_rows(G)
         res = max_independent_set(G)
         if not allowed:
             assert res.alpha == 0
@@ -240,7 +242,7 @@ def test_truncated_coloring_is_the_top_of_the_full_coloring():
     # classes below kmin are built but not recorded; the rest match the full coloring
     for g in range(200):
         G = _differential_graph(g)
-        rows, allowed = G._complement_rows
+        rows, allowed = complement_rows(G)
         P = allowed & u64(35, g)
         if not P:
             continue
@@ -258,12 +260,12 @@ def test_hamming_products_match_reference_search():
         (hamming_power(kneser_hypercube(4), 2), 2_000, (86, 105, 2_001)),
         (hamming_power(k3, 3), 500, (129, 157, 501)),
     ):
-        rows, allowed = G._complement_rows
+        rows, allowed = complement_rows(G)
         ref = _search_outcome(lambda: reference_search(rows, allowed, budget)[-1])
         got = _search_outcome(lambda: max_independent_set(G, budget=budget).witness.bits)
         assert ref == got == interval
     G = kneser_hypercube(6)
-    rows, allowed = G._complement_rows
+    rows, allowed = complement_rows(G)
     assert max_independent_set(G).witness.bits == reference_search(rows, allowed, 1 << 40)[-1]
 
 
@@ -359,6 +361,21 @@ def test_induced_empty_sentinel():
     H = induced_subgraph(TRIANGLE, VertexSet(3, 0))
     assert H.n == 0
     assert max_independent_set(H).alpha == 0
+
+
+def test_no_loop_free_vertex_gives_the_empty_set():
+    # every search starts from an empty candidate set on both graphs
+    looped = make_graph(4, [(v, v) for v in range(4)] + [(0, 1)])
+    sentinel = induced_subgraph(TRIANGLE, VertexSet(3, 0))
+    for G in (looped, sentinel):
+        empty = [VertexSet(G.n, 0)]
+        res = max_independent_set(G)
+        assert res.alpha == 0 and [res.witness] == empty
+        assert enumerate_maximum_independent_sets(G) == empty
+        assert enumerate_maximal_independent_sets(G) == empty
+        assert subset_alpha(G, (1 << G.n) - 1) == subset_alpha(G, 0) == 0
+        rep = hajnal_check(G)
+        assert (rep.alpha, rep.intersection, rep.union) == (0, empty[0], empty[0])
 
 
 def test_induced_kneser2_restriction():
