@@ -72,10 +72,9 @@ from .hitting_sets import (
     min_hitting_set,
 )
 from .random_subgraphs import (
-    AlphaStarStarResult,
+    Estimate,
     HajnalReport,
     MarginReport,
-    PartitionBoundResult,
     RemovalTrace,
     alpha_star_star_exact,
     alpha_star_star_margin,

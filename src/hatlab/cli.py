@@ -341,7 +341,7 @@ def cmd_alphastarstar(args, em: Emitter) -> None:
     else:
         res = alpha_star_star_exact(G)
         values = {"mode": res.mode, "estimate": frac_str(res.estimate)}
-    values["fingerprint"] = res.fingerprint
+    values["fingerprint"] = graph_fingerprint(G)
     em.emit(values)
 
 
@@ -394,20 +394,19 @@ def cmd_partition_bound(args, em: Emitter) -> None:
     ):
         raise ValueError(f"{args.partition_file}: need a JSON array of arrays of vertex indices")
     partition = [VertexSet.from_indices(G.n, p) for p in parts]
-    sampler = args.sampler
-    if sampler != "binomial":
+    fam = None
+    if args.sampler != "binomial":
         # one winning set per part; r strictly increases with n for every kind
         n = 1
-        while (fam := winning_family(sampler[len("rv:"):], n)).r < len(parts):
+        while (fam := winning_family(args.sampler[len("rv:"):], n)).r < len(parts):
             n += 1
-        sampler = fam
     res = partition_bound_eval(
-        G, partition, sampler=sampler, mode="mc" if args.mc else "exact",
+        G, partition, fam, mode="monte_carlo" if args.mc else "exact",
         **given(args, "seed", "samples"),
     )
     em.emit({
-        "r": res.r,
-        "sampler": res.sampler,
+        "r": len(parts),
+        "sampler": "binomial" if fam is None else f"r_v({fam.kind})",
         "mode": res.mode,
         "estimate": frac_str(res.estimate) if res.mode == "exact" else float(res.estimate),
         "stderr": res.stderr,

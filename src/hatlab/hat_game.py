@@ -248,9 +248,15 @@ def _best_guesses(family: WinningFamily, masks: Sequence[int]) -> tuple[tuple[in
     return tuple(table), total
 
 
-def winning_set_of_strategy(
-    family: WinningFamily, s: Strategy, mask_guard: int = DEFAULT_MASK_GUARD
-) -> tuple[int, Fraction]:
+def _guard_tuples(N: int, t: int) -> int:
+    """N^t, the number of hat tuples, refused past DEFAULT_MASK_GUARD."""
+    total = N**t
+    if total > DEFAULT_MASK_GUARD:
+        raise SizeLimitError(f"{t} players on {N} points make {total} tuples, over the guard 2^22")
+    return total
+
+
+def winning_set_of_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fraction]:
     """Exact winning set of a strategy as a bit mask over B^t, plus its measure.
 
     Per player, bits are placed view-by-view using a cached spread of each
@@ -259,9 +265,7 @@ def winning_set_of_strategy(
     """
     N = 1 << family.n
     t = s.t
-    total = N**t
-    if total > mask_guard:
-        raise SizeLimitError(f"winning-set mask needs {total} bits, over the guard {mask_guard}")
+    total = _guard_tuples(N, t)
     win = (1 << total) - 1
     spread_cache: dict[tuple[int, int], int] = {}
     for i in range(t):
@@ -399,11 +403,13 @@ def exact_value_two_players(
     cover.  The first table with the largest count wins; its player-0
     table and value come from ``best_response``.  When r^(2^n) tables
     exceed the budget the enumeration stops early and the best value found
-    is returned with mode "lower_bound".
+    is returned with mode "lower_bound".  Past DEFAULT_MASK_GUARD tuples
+    it raises SizeLimitError before any work.
     """
     if budget < 1:
         raise ValueError("budget must allow at least one table")
     N = 1 << family.n
+    _guard_tuples(N, 2)
     count, g2 = _best_player1_table(family, budget)
     table0, value = best_response(family, g2)
     if value != Fraction(count, N * N):
@@ -471,13 +477,15 @@ def nested_lower_bound(
     every level.  Each start is improved by coordinate ascent, and only the
     final winner's witness is re-scored by ``winning_set_of_strategy``,
     which shares no code with the ascent's evaluator, so the bound never
-    depends on the search having behaved.
+    depends on the search having behaved.  Past DEFAULT_MASK_GUARD tuples
+    it raises SizeLimitError before any work.
     """
     if t < 3:
         raise ValueError("nested_lower_bound is for t >= 3; use the exact solvers below that")
     if restarts < 1:
         raise ValueError("need restarts >= 1")
     N = 1 << family.n
+    _guard_tuples(N, t)
     r = family.r
     # exact two-player witness when the table space is small, a budgeted
     # (heuristic) one otherwise
@@ -493,7 +501,5 @@ def nested_lower_bound(
             if history[-1] > best_val:
                 best_val = history[-1]
                 best_strat = strat
-    # no new size limit: the mask's N^t bits take less memory than the t
-    # tables of N^(t-1) entries already held (whenever N < 64 t)
-    _, value = winning_set_of_strategy(family, best_strat, mask_guard=N**t)
+    _, value = winning_set_of_strategy(family, best_strat)
     return GameValue(t, family.n, family.kind, value, "lower_bound", best_strat)

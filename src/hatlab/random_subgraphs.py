@@ -9,7 +9,9 @@ uniformly random vertex subset W:
 Exact mode enumerates all 2^n subsets through a subset DP; Monte-Carlo mode
 draws one unbiased coin per vertex per sample from a counter-based stream
 keyed (seed, sample, vertex), so estimates are bit-identical for any
-evaluation order.
+evaluation order.  alpha**, exact and Monte-Carlo, and the partition bound
+are one statistic over different streams of vertex masks, so all three
+return one :class:`Estimate`; the quarter-plus-tau margin check extends it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .graph_core import (
     Graph,
     VertexSet,
     enumerate_maximum_independent_sets,
-    graph_fingerprint,
     max_independent_set,
     subset_alpha,
 )
@@ -40,14 +41,14 @@ EXACT_PARTS_GUARD = 20
 
 
 @dataclass(frozen=True)
-class AlphaStarStarResult:
-    fingerprint: str
+class Estimate:
+    """Mean of alpha(G[W]) / n over ``samples`` vertex masks W of an n-vertex G."""
+
     n: int
     mode: str  # "exact" | "monte_carlo"
     estimate: Fraction | float
     stderr: float | None
     samples: int
-    seed: int | None
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,7 @@ class RemovalStep:
 
 @dataclass(frozen=True)
 class RemovalTrace:
-    fingerprint: str
     n: int
-    seed: int
-    threshold: Fraction
-    m_final: int
     alpha_initial: int
     steps: tuple[RemovalStep, ...]
 
@@ -88,18 +85,12 @@ class HajnalReport:
 
 
 @dataclass(frozen=True)
-class MarginReport:
+class MarginReport(Estimate):
     """Check of the quarter-plus-tau bound on alpha_star_star."""
 
-    fingerprint: str
     alpha_bar: Fraction
     tau: Fraction
     bound: Fraction
-    mode: str
-    estimate: Fraction | float
-    stderr: float | None
-    samples: int
-    seed: int | None
 
     @property
     def passed(self) -> bool:
@@ -108,24 +99,13 @@ class MarginReport:
         return float(self.estimate) <= float(self.bound) + 3.0 * (self.stderr or 0.0)
 
 
-@dataclass(frozen=True)
-class PartitionBoundResult:
-    r: int
-    sampler: str
-    mode: str
-    estimate: Fraction | float
-    stderr: float | None
-    samples: int
-    seed: int | None
-
-
-def _mean_alpha(G: Graph, masks: Iterable[int], exact: bool) -> tuple[Fraction | float, float | None]:
+def _mean_alpha(G: Graph, masks: Iterable[int], mode: str) -> Estimate:
     """Mean of alpha(G[W]) / n over the vertex masks W, the one estimator here.
 
     alpha(G[W]) is read from the subset table when n <= EXACT_SUBSET_GUARD
     or the masks are all 2^n subsets, and searched otherwise, once per
-    distinct W (unions of partition parts repeat).  Exact mode returns the
-    Fraction mean and no standard error; Monte-Carlo mode returns the float
+    distinct W (unions of partition parts repeat).  Mode "exact" gives the
+    Fraction mean and no standard error; mode "monte_carlo" gives the float
     mean and its standard error.  Both come from exact integer sums, which
     makes them independent of summation order, so Monte-Carlo records stay
     bit-identical across runs.
@@ -142,31 +122,28 @@ def _mean_alpha(G: Graph, masks: Iterable[int], exact: bool) -> tuple[Fraction |
         total += a
         sq += a * a
     mean = Fraction(total, n * s)
-    if exact:
-        return mean, None
+    if mode == "exact":
+        return Estimate(n, mode, mean, None, s)
     if s < 2:
-        return float(mean), 0.0
+        return Estimate(n, mode, float(mean), 0.0, s)
     var = (Fraction(sq, n * n) - Fraction(total * total, n * n * s)) / (s - 1)
-    return float(mean), math.sqrt(float(var) / s)
+    return Estimate(n, mode, float(mean), math.sqrt(float(var) / s), s)
 
 
-def alpha_star_star_exact(G: Graph, guard: int = EXACT_SUBSET_GUARD) -> AlphaStarStarResult:
+def alpha_star_star_exact(G: Graph, guard: int = EXACT_SUBSET_GUARD) -> Estimate:
     """Exact rational average of alpha(G[W])/n over all 2^n subsets W."""
     if G.n < 1:
         raise ValueError("graph must have at least one vertex")
     if G.n > guard:
         raise SizeLimitError(f"exact mode enumerates 2^n subsets; n={G.n} exceeds guard {guard}")
-    value, _ = _mean_alpha(G, range(1 << G.n), exact=True)
-    return AlphaStarStarResult(graph_fingerprint(G), G.n, "exact", value, None, 1 << G.n, None)
+    return _mean_alpha(G, range(1 << G.n), "exact")
 
 
-def alpha_star_star_mc(G: Graph, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> AlphaStarStarResult:
+def alpha_star_star_mc(G: Graph, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Estimate:
     """Unbiased Monte-Carlo estimate with standard error."""
     if samples < 1:
         raise ValueError("need samples >= 1")
-    n = G.n
-    mean, stderr = _mean_alpha(G, (coin_mask(n, seed, s) for s in range(samples)), exact=False)
-    return AlphaStarStarResult(graph_fingerprint(G), n, "monte_carlo", mean, stderr, samples, seed)
+    return _mean_alpha(G, (coin_mask(G.n, seed, s) for s in range(samples)), "monte_carlo")
 
 
 def hajnal_check(G: Graph, cap: int = DEFAULT_ENUM_CAP) -> HajnalReport:
@@ -208,9 +185,7 @@ def removal_trace(G: Graph, m: int, seed: int, threshold: Fraction) -> RemovalTr
         successful = alpha_prev < cutoff or alpha_now < alpha_prev
         steps.append(RemovalStep(v, alpha_now, successful))
         alpha_prev = alpha_now
-    return RemovalTrace(
-        graph_fingerprint(G), G.n, seed, threshold, m, alpha_initial, tuple(steps)
-    )
+    return RemovalTrace(G.n, alpha_initial, tuple(steps))
 
 
 def alpha_star_star_margin(G: Graph, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MarginReport:
@@ -231,17 +206,7 @@ def alpha_star_star_margin(G: Graph, samples: int = DEFAULT_SAMPLES, seed: int =
         est = alpha_star_star_exact(G)
     else:
         est = alpha_star_star_mc(G, samples, seed)
-    return MarginReport(
-        graph_fingerprint(G),
-        res.alpha_bar,
-        tau,
-        bound,
-        est.mode,
-        est.estimate,
-        est.stderr,
-        est.samples,
-        est.seed,
-    )
+    return MarginReport(**vars(est), alpha_bar=res.alpha_bar, tau=tau, bound=bound)
 
 
 def _validate_partition(G: Graph, partition: Sequence[VertexSet]) -> list[int]:
@@ -259,57 +224,53 @@ def _validate_partition(G: Graph, partition: Sequence[VertexSet]) -> list[int]:
     return masks
 
 
+def _index_set(family: WinningFamily, v: int) -> int:
+    """Mask of the indices of the family's winning sets that contain point v."""
+    return sum(1 << i for i in r_v_distribution(family, v))
+
+
 def partition_bound_eval(
     G: Graph,
     partition: Sequence[VertexSet],
-    sampler: str | WinningFamily = "binomial",
+    family: WinningFamily | None = None,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     mode: str = "exact",
-) -> PartitionBoundResult:
+) -> Estimate:
     """Expected best independent fraction inside a sampled union of parts.
 
     For an index set R drawn from the sampler, the inner value is
     alpha(G[union of parts in R]) / n; the result estimates its expectation
-    for the GIVEN partition.  Samplers: "binomial" (each part independently
-    with probability 1/2) or a :class:`WinningFamily` (R is the index set of
-    sets containing a uniform point of the family's cube; part indices then
-    align with winning-set indices).
+    for the GIVEN partition.  With no family each part is in R
+    independently with probability 1/2; with a :class:`WinningFamily`, R
+    is the index set of the sets containing a uniform point of the
+    family's cube, so part indices align with winning-set indices.
 
     Mode "exact" enumerates the sampler's distribution and needs r <= 20
-    (binomial) or the family cube enumerable; mode "mc" draws ``samples``
-    index sets from the stream keyed by ``seed``.
+    without a family; mode "monte_carlo" draws ``samples`` index sets from
+    the stream keyed by ``seed``.
     """
     masks = _validate_partition(G, partition)
     r = len(masks)
-    family = sampler if isinstance(sampler, WinningFamily) else None
-    if sampler == "binomial":
-        sampler_name = "binomial"
-        space: Sequence[int] = range(1 << r)
-    elif family is None:
-        raise ValueError(f"sampler must be 'binomial' or a WinningFamily, got {sampler!r}")
-    else:
-        if family.r != r:
-            raise ValueError("partition must have one part per winning set")
-        sampler_name = f"r_v({family.kind})"
-        space = [sum(1 << i for i in r_v_distribution(family, v)) for v in range(1 << family.n)]
-
+    if family is not None and family.r != r:
+        raise ValueError("partition must have one part per winning set")
     if mode == "exact":
-        if family is None and r > EXACT_PARTS_GUARD:
+        if family is not None:
+            index_sets: Iterable[int] = (_index_set(family, v) for v in range(1 << family.n))
+        elif r > EXACT_PARTS_GUARD:
             raise SizeLimitError(f"exact mode enumerates 2^r index sets; r={r} exceeds {EXACT_PARTS_GUARD}")
-        index_sets: Iterable[int] = space
-    elif mode == "mc":
+        else:
+            index_sets = range(1 << r)
+    elif mode == "monte_carlo":
         if samples < 1:
             raise ValueError("need samples >= 1")
         index_sets = (
-            coin_mask(r, seed, s) if family is None else space[randrange(len(space), seed, s)]
+            coin_mask(r, seed, s) if family is None
+            else _index_set(family, randrange(1 << family.n, seed, s))
             for s in range(samples)
         )
     else:
-        raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+        raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
     # the parts are disjoint, so the sum of those in R is their union
     unions = (sum(masks[i] for i in iter_bits(R)) for R in index_sets)
-    mean, stderr = _mean_alpha(G, unions, exact=mode == "exact")
-    if mode == "exact":
-        return PartitionBoundResult(r, sampler_name, "exact", mean, None, 0, None)
-    return PartitionBoundResult(r, sampler_name, "mc", mean, stderr, samples, seed)
+    return _mean_alpha(G, unions, mode)

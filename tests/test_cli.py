@@ -88,6 +88,13 @@ def test_hatgame_three_players_needs_a_seed():
     assert status == 2  # the t >= 3 lower-bound search is seeded: a usage error
 
 
+def test_hatgame_past_the_tuple_guard_fails_fast(capsys):
+    # 2^24 tuples each; two players at 12 hats took ~22 s and 83 MB unguarded
+    for argv in (["--players", "2", "--hats", "12"], ["--players", "3", "--hats", "8", "--seed", "1"]):
+        assert run_capture(["hatgame", "--kind", "dictator", *argv]) == (1, []), argv
+        assert "over the guard 2^22" in capsys.readouterr().err
+
+
 def test_blockers_schedule_record():
     status, records = run_capture(["blockers", "schedule", "--max-level", "3"])
     assert status == 0
@@ -242,6 +249,18 @@ def test_partition_bound_rv_sampler_takes_one_set_per_part(tmp_path, monkeypatch
     monkeypatch.setattr(hat_game, "DICTATOR_MAX_N", 2)
     assert run_capture(argv + ["rv:dictator"]) == (1, [])
     assert "dictator families built only for n <= 2" in capsys.readouterr().err
+
+
+def test_partition_bound_rv_dictator_sixteen_parts_pinned(tmp_path):
+    # captured when Monte-Carlo mode still built all 2^16 index sets first
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[v] for v in range(16)]))
+    status, records = run_capture(
+        ["subgraph", "partition-bound", "--construct", "gnp:16,0.3,1", "--partition-file",
+         str(ppath), "--sampler", "rv:dictator", "--mc", "--seed", "1", "--samples", "200"])
+    assert status == 0
+    assert records[0]["values"] == {"r": 16, "sampler": "r_v(dictator)", "mode": "monte_carlo",
+                                    "estimate": 0.273125, "stderr": 0.005018613281710076}
 def test_subgraph_removal_target_size_out_of_range_exits_2(tmp_path, capsys):
     # these used to exit 1 through removal_trace's ValueError
     out = tmp_path / "trace.csv"
@@ -473,7 +492,7 @@ def test_exact_and_mc_are_mutually_exclusive(tmp_path):
         run(argv + ["--exact", "--mc", "--seed", "1"])
     assert exc.value.code == 2
     status, records = run_capture(argv + ["--mc", "--seed", "1"])
-    assert status == 0 and records[0]["values"]["mode"] == "mc"
+    assert status == 0 and records[0]["values"]["mode"] == "monte_carlo"
 
 
 def test_partition_bound_sampler_is_a_choice(tmp_path):
@@ -503,7 +522,7 @@ def test_partition_bound_needs_seed_unless_exact(tmp_path):
     assert run_capture(argv + ["--mc"]) == (2, [])
     status, records = run_capture(argv + ["--mc", "--seed", "3"])
     assert status == 0 and records[0]["seed"] == 3
-    assert records[0]["values"]["mode"] == "mc"
+    assert records[0]["values"]["mode"] == "monte_carlo"
 
 
 def test_every_mc_leaf_reads_seed_and_samples_only_with_mc(tmp_path):

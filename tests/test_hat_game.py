@@ -152,10 +152,11 @@ def test_winning_set_matches_simulation_oracle():
 
 
 def test_winning_set_guard():
-    fam = winning_family("dictator", 4)
-    s = Strategy(4, 4, tuple(tuple([0] * 16**3) for _ in range(4)))
+    # 4096^2 = 2^24 tuples, past DEFAULT_MASK_GUARD
+    fam = winning_family("dictator", 12)
+    s = Strategy(2, 12, tuple(tuple([0] * 4096) for _ in range(2)))
     with pytest.raises(SizeLimitError):
-        winning_set_of_strategy(fam, s, mask_guard=1 << 10)
+        winning_set_of_strategy(fam, s)
 
 
 @pytest.mark.parametrize("kind,n", [("dictator", 3), ("intersecting", 3), ("monotone", 4)])

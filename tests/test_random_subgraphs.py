@@ -213,7 +213,7 @@ def test_margin_mc_mode_for_large_graphs():
 
 def test_partition_single_part_gives_half_alpha_bar():
     G = C5
-    res = partition_bound_eval(G, [VertexSet(5, 0b11111)], sampler="binomial")
+    res = partition_bound_eval(G, [VertexSet(5, 0b11111)])
     assert res.mode == "exact"
     assert res.estimate == max_independent_set(G).alpha_bar / 2
 
@@ -222,12 +222,9 @@ def test_partition_singletons_reproduce_alpha_star_star():
     for seed in (1, 2):
         G = random_gnp(9, 0.35, seed=seed)
         parts = [VertexSet.from_indices(9, [v]) for v in range(9)]
-        res = partition_bound_eval(G, parts, sampler="binomial")
-        assert res.mode == "exact"
-        assert res.estimate == alpha_star_star_exact(G).estimate
-        res = partition_bound_eval(G, parts, sampler="binomial", samples=300, seed=seed, mode="mc")
-        mc = alpha_star_star_mc(G, samples=300, seed=seed)
-        assert (res.estimate, res.stderr) == (mc.estimate, mc.stderr)
+        assert partition_bound_eval(G, parts) == alpha_star_star_exact(G)
+        res = partition_bound_eval(G, parts, samples=300, seed=seed, mode="monte_carlo")
+        assert res == alpha_star_star_mc(G, samples=300, seed=seed)
 
 
 def test_exact_partition_bound_pinned_past_subset_guard():
@@ -236,7 +233,7 @@ def test_exact_partition_bound_pinned_past_subset_guard():
     G = random_gnp(18, 0.3, seed=4)
     parts = [VertexSet.from_indices(18, range(i, 18, 5)) for i in range(5)] + [VertexSet(18, 0)]
     res = partition_bound_eval(G, parts, mode="exact")
-    assert (res.r, res.mode, res.estimate) == (6, "exact", Fraction(9, 32))
+    assert (res.samples, res.mode, res.estimate) == (1 << 6, "exact", Fraction(9, 32))
 
 
 def test_partition_rv_sampler_matches_best_response_value():
@@ -251,17 +248,16 @@ def test_partition_rv_sampler_matches_best_response_value():
         for x1, g in enumerate(g2):
             masks[g] |= 1 << x1
         parts = [VertexSet(4, m) for m in masks]
-        res = partition_bound_eval(G, parts, sampler=fam)
+        res = partition_bound_eval(G, parts, fam)
         _, value = best_response(fam, g2)
         assert res.estimate == value
-    assert res.sampler == "r_v(dictator)"
 
 
 def test_partition_mc_agrees_with_exact():
     G = random_gnp(10, 0.3, seed=21)
     parts = [VertexSet.from_indices(10, [2 * i, 2 * i + 1]) for i in range(5)]
     exact = partition_bound_eval(G, parts, mode="exact")
-    mc = partition_bound_eval(G, parts, mode="mc", samples=800, seed=5)
+    mc = partition_bound_eval(G, parts, mode="monte_carlo", samples=800, seed=5)
     assert abs(float(mc.estimate) - float(exact.estimate)) <= 5 * mc.stderr
 
 
@@ -272,7 +268,7 @@ def test_partition_bound_is_exact_unless_mc():
     parts = [VertexSet.from_indices(20, range(i, 20, 4)) for i in range(4)]
     res = partition_bound_eval(G, parts)
     assert (res.mode, res.estimate, res.stderr) == ("exact", Fraction(87, 320), None)
-    with pytest.raises(ValueError, match="mode must be 'exact' or 'mc'"):
+    with pytest.raises(ValueError, match="mode must be 'exact' or 'monte_carlo'"):
         partition_bound_eval(G, parts, mode="auto")
 
 
@@ -283,12 +279,4 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         partition_bound_eval(G, [VertexSet(5, 0b111), VertexSet(5, 0b110)])  # overlap
     with pytest.raises(ValueError):
-        partition_bound_eval(G, [VertexSet(5, 0b11111)], sampler=winning_family("dictator", 2))
-
-
-def test_partition_rejects_unknown_sampler():
-    part = [VertexSet(5, 0b11111)]
-    for sampler in ("bogus", "rv:dictator", "Binomial"):
-        with pytest.raises(ValueError, match="sampler"):
-            partition_bound_eval(C5, part, sampler=sampler)
-    assert partition_bound_eval(C5, part, sampler="binomial").sampler == "binomial"
+        partition_bound_eval(G, [VertexSet(5, 0b11111)], winning_family("dictator", 2))

@@ -42,14 +42,16 @@ def test_mc_records_pinned():
     res = alpha_star_star_mc(random_gnp(30, 0.2, seed=3), samples=200, seed=11)
     assert (res.estimate, res.stderr) == (0.2675, 0.00302084235832996)
     parts = [VertexSet.from_indices(18, (i, i + 1)) for i in range(0, 18, 2)]
-    res = partition_bound_eval(random_gnp(18, 0.3, seed=4), parts, samples=150, seed=5, mode="mc")
+    res = partition_bound_eval(random_gnp(18, 0.3, seed=4), parts, samples=150, seed=5,
+                               mode="monte_carlo")
     assert (res.estimate, res.stderr) == (0.28074074074074074, 0.006538385200519441)
     # captured before the partition bound's samplers became index-set spaces
     parts = [VertexSet.from_indices(20, range(i, 20, 4)) for i in range(4)]
     res = partition_bound_eval(random_gnp(20, 0.3, seed=8), parts,
-                               sampler=winning_family("intersecting", 3), samples=150, seed=9,
-                               mode="mc")
-    assert (res.mode, res.estimate, res.stderr) == ("mc", 0.25733333333333336, 0.009090480635283392)
+                               winning_family("intersecting", 3), samples=150, seed=9,
+                               mode="monte_carlo")
+    assert (res.mode, res.estimate, res.stderr) == (
+        "monte_carlo", 0.25733333333333336, 0.009090480635283392)
 
 
 def test_chance_extremes():
