@@ -19,7 +19,7 @@ from functools import reduce
 from .bits import iter_bits, iter_submasks, point_to_str
 from .errors import SizeLimitError
 from .graph_core import DEFAULT_SIZE_LIMIT, Graph
-from .rng import chance
+from .rng import chance_mask
 
 
 def _check_size(what: str, base: int, exponent: int = 1) -> None:
@@ -188,7 +188,7 @@ def hypercube_labels(n: int) -> list[str]:
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each unordered pair is an edge independently with probability p.
 
-    Reproducible: the coin for pair (u, v) is keyed by (seed, u, v) alone.
+    Reproducible: pair (u, v), u < v, is an edge iff ``chance(p, seed, u, v)``.
     """
     if n < 1:
         raise ValueError("random_gnp needs n >= 1")
@@ -197,10 +197,10 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     _check_size(f"random_gnp({n}, ...)", n)
     adj = [0] * n
     for u in range(n):
-        for v in range(u + 1, n):
-            if chance(p, seed, u, v):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+        row = chance_mask(n, p, seed, u) >> (u + 1) << (u + 1)
+        adj[u] |= row
+        for v in iter_bits(row):
+            adj[v] |= 1 << u
     return Graph(n, tuple(adj))
 
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .bits import iter_bits
@@ -103,15 +104,15 @@ def _mean_alpha(G: Graph, masks: Iterable[int], mode: str) -> Estimate:
     """Mean of alpha(G[W]) / n over the vertex masks W, the one estimator here.
 
     alpha(G[W]) is read from the subset table when n <= EXACT_SUBSET_GUARD
-    or the masks are all 2^n subsets, and searched otherwise, once per
-    distinct W (unions of partition parts repeat).  Mode "exact" gives the
-    Fraction mean and no standard error; mode "monte_carlo" gives the float
-    mean and its standard error.  Both come from exact integer sums, which
-    makes them independent of summation order, so Monte-Carlo records stay
-    bit-identical across runs.
+    or, in mode "exact", there are at least 2^n masks (then a list or
+    range), and searched otherwise, once per distinct W (unions of parts
+    repeat).  Mode "exact" gives the Fraction mean and no standard error;
+    mode "monte_carlo" gives the float mean and its standard error.  Both
+    come from exact integer sums, which makes them independent of
+    summation order, so Monte-Carlo records stay bit-identical across runs.
     """
     n = G.n
-    if n <= EXACT_SUBSET_GUARD or masks == range(1 << n):
+    if n <= EXACT_SUBSET_GUARD or (mode == "exact" and 1 << n <= len(masks)):
         alpha = G._subset_alphas.__getitem__
     else:
         alpha = lru_cache(maxsize=None)(partial(subset_alpha, G))
@@ -229,6 +230,9 @@ def _index_set(family: WinningFamily, v: int) -> int:
     return sum(1 << i for i in r_v_distribution(family, v))
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits as compress() selectors
+
+
 def partition_bound_eval(
     G: Graph,
     partition: Sequence[VertexSet],
@@ -256,11 +260,17 @@ def partition_bound_eval(
         raise ValueError("partition must have one part per winning set")
     if mode == "exact":
         if family is not None:
-            index_sets: Iterable[int] = (_index_set(family, v) for v in range(1 << family.n))
+            # transposed: every winning set adds its part to each member point's union
+            unions = [0] * (1 << family.n)
+            for members, part in zip(family.sets, masks):
+                for v in compress(range(1 << family.n), bin(members)[:1:-1].encode().translate(_BITS)):
+                    unions[v] |= part
         elif r > EXACT_PARTS_GUARD:
             raise SizeLimitError(f"exact mode enumerates 2^r index sets; r={r} exceeds {EXACT_PARTS_GUARD}")
         else:
-            index_sets = range(1 << r)
+            unions = [0]  # unions[R] for every index set R, doubling once per part
+            for part in masks:
+                unions += [u | part for u in unions]
     elif mode == "monte_carlo":
         if samples < 1:
             raise ValueError("need samples >= 1")
@@ -269,8 +279,8 @@ def partition_bound_eval(
             else _index_set(family, randrange(1 << family.n, seed, s))
             for s in range(samples)
         )
+        # the parts are disjoint, so the sum of those in R is their union
+        unions = (sum(masks[i] for i in iter_bits(R)) for R in index_sets)
     else:
         raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
-    # the parts are disjoint, so the sum of those in R is their union
-    unions = (sum(masks[i] for i in iter_bits(R)) for R in index_sets)
     return _mean_alpha(G, unions, mode)

@@ -4,9 +4,17 @@ Every draw is a pure function of ``(seed, *indices)``: the same key always
 yields the same value, independent of call order, interleaving, or thread
 count.  This is what makes randomized constructions replayable from their
 recorded seeds alone.
+
+Rows of draws under one key prefix (``coin_mask``, ``chance_mask``) hash
+the prefix once, then finalize all n lanes in one big-int pass.  Lane v
+sits at bit 128*v, so a lane below 2^64 times a 64-bit constant stays in
+its 128 bits; masking every lane back to its low 64 bits after each
+xor-shift clears what the shift pulled in, so per lane this is ``_mix``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -19,6 +27,29 @@ def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=8)
+def _lanes(n: int) -> tuple[int, int, int]:
+    """Per-lane constants for n lanes: ones, low-64 masks, the keys v * _MULT."""
+    ones = int.from_bytes(b"\x01".ljust(16, b"\0") * n, "little")
+    keys = b"".join(((v * _MULT) & _M64).to_bytes(16, "little") for v in range(n))
+    return ones, ones * _M64, int.from_bytes(keys, "little")
+
+
+_BELOW = bytes.maketrans(b"\0\1", b"10")  # a lane's bit 64 as a byte: 0 is "below"
+
+
+def _lanes_below(n: int, h: int, threshold: int) -> int:
+    """Mask of v < n with ``_mix(h ^ v * _MULT) < threshold``, for h < 2^64."""
+    ones, low, keys = _lanes(n)
+    z = (h * ones) ^ keys
+    z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+    # lane + 2^64 - threshold reaches bit 64 iff lane >= threshold; big-endian,
+    # that bit is byte 7 of the lane's 16 bytes, lane n - 1 first
+    z = ((z ^ (z >> 31)) & low) + ((1 << 64) - threshold) * ones
+    return int(z.to_bytes(16 * n, "big")[7::16].translate(_BELOW) or b"0", 2)
 
 
 def u64(seed: int, *indices: int) -> int:
@@ -35,16 +66,8 @@ def coin(seed: int, *indices: int) -> bool:
 
 
 def coin_mask(n: int, seed: int, *indices: int) -> int:
-    """n fair coins as a mask: bit v is ``coin(seed, *indices, v)``.
-
-    The shared prefix is hashed once, so each bit costs one mix.
-    """
-    h = u64(seed, *indices)
-    mask = 0
-    for v in range(n):
-        if _mix(h ^ ((v * _MULT) & _M64)) < (1 << 63):
-            mask |= 1 << v
-    return mask
+    """n fair coins as a mask: bit v is ``coin(seed, *indices, v)``."""
+    return _lanes_below(n, u64(seed, *indices), 1 << 63)
 
 
 def chance(p: float, seed: int, *indices: int) -> bool:
@@ -54,6 +77,12 @@ def chance(p: float, seed: int, *indices: int) -> bool:
     if p >= 1.0:
         return True
     return u64(seed, *indices) < round(p * 2.0**64)
+
+
+def chance_mask(n: int, p: float, seed: int, *indices: int) -> int:
+    """n events as a mask: bit v is ``chance(p, seed, *indices, v)``."""
+    threshold = 0 if p <= 0.0 else 1 << 64 if p >= 1.0 else round(p * 2.0**64)
+    return _lanes_below(n, u64(seed, *indices), threshold)
 
 
 def randrange(n: int, seed: int, *indices: int) -> int:

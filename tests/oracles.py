@@ -9,7 +9,8 @@ search before its root reduction, and the two-player table search that
 scored each table with a full best response.  ``reference_min_hitting_set``
 reuses the package's greedy seed and packing bound, and
 ``reference_exact_value_two_players`` its ``best_response``, which they
-do not test.
+do not test.  ``reference_gnp`` draws G(n, p) one scalar ``chance`` per
+pair, as ``random_gnp`` did before it drew a row of coins per pass.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from hatlab.hitting_sets import (
     _packing_bound,
     greedy_hitting,
 )
+from hatlab.rng import chance
 
 
 def is_independent(G: Graph, mask: int) -> bool:
@@ -508,3 +510,14 @@ def reference_search(
                     f"more than {cap} maximum independent sets", found=len(found)
                 )
     return found
+
+
+def reference_gnp(n: int, p: float, seed: int) -> tuple[int, ...]:
+    """Adjacency rows of G(n, p): pair (u, v), u < v, is ``chance(p, seed, u, v)``."""
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if chance(p, seed, u, v):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return tuple(adj)

@@ -261,6 +261,19 @@ def test_partition_bound_rv_dictator_sixteen_parts_pinned(tmp_path):
     assert status == 0
     assert records[0]["values"] == {"r": 16, "sampler": "r_v(dictator)", "mode": "monte_carlo",
                                     "estimate": 0.273125, "stderr": 0.005018613281710076}
+
+
+def test_partition_bound_sixteen_parts_exact_pinned(tmp_path):
+    # captured when exact mode searched every union and probed every point's index set
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[v] for v in range(16)]))
+    argv = ["subgraph", "partition-bound", "--construct", "gnp:16,0.3,1", "--partition-file",
+            str(ppath)]
+    for sampler, extra in (("binomial", []), ("r_v(dictator)", ["--sampler", "rv:dictator"])):
+        status, records = run_capture(argv + extra)
+        assert status == 0
+        assert records[0]["values"] == {"r": 16, "sampler": sampler, "mode": "exact",
+                                        "estimate": "287707/1048576", "stderr": None}
 def test_subgraph_removal_target_size_out_of_range_exits_2(tmp_path, capsys):
     # these used to exit 1 through removal_trace's ValueError
     out = tmp_path / "trace.csv"

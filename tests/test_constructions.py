@@ -18,11 +18,14 @@ from hatlab.errors import SizeLimitError
 from hatlab.graph_core import (
     VertexSet,
     enumerate_maximum_independent_sets,
+    graph_fingerprint,
     induced_subgraph,
     make_graph,
     max_independent_set,
 )
 from hatlab.rng import u64
+
+from oracles import reference_gnp
 
 K2_EDGE = make_graph(2, [(0, 1)])
 
@@ -223,6 +226,20 @@ def test_gnp_edge_count_within_4_sigma():
     G = random_gnp(30, 0.5, seed=2024)
     mean, sigma = 217.5, math.sqrt(435 * 0.25)
     assert abs(G.n_edges - mean) <= 4 * sigma
+
+
+def test_gnp_rows_match_per_pair_chance():
+    # row u is one chance_mask pass; lanes straddle the 64- and 128-bit words
+    for n in (1, 2, 63, 64, 65, 127, 128, 129, 200):
+        for p in (0.0, 1.0, 2**-60, 1 - 2**-53, 0.2, 0.62):
+            for seed in (7, -(1 << 70) - 3):
+                assert random_gnp(n, p, seed).adj == reference_gnp(n, p, seed), (n, p, seed)
+
+
+def test_gnp_fingerprints_pinned():
+    # captured when every pair drew its own scalar chance
+    assert graph_fingerprint(random_gnp(200, 0.01, 4)) == "5b85bb93feff"
+    assert graph_fingerprint(random_gnp(1000, 0.5, 4)) == "2050aacfa328"
 
 
 def test_gnp_reproducible():

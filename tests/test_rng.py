@@ -2,7 +2,7 @@ from hatlab.constructions import random_gnp
 from hatlab.graph_core import VertexSet
 from hatlab.hat_game import winning_family
 from hatlab.random_subgraphs import alpha_star_star_mc, partition_bound_eval
-from hatlab.rng import chance, coin, coin_mask, randrange, u64
+from hatlab.rng import chance, chance_mask, coin, coin_mask, randrange, u64
 
 
 def test_u64_deterministic_and_key_sensitive():
@@ -28,6 +28,9 @@ def test_coin_mask_matches_coin_bit_for_bit():
         (0, 3, (1,)),
         (1, 0, ()),
         (64, 9, (2,)),
+        (127, 5, (3,)),
+        (128, 6, ()),
+        (129, 8, (9, 1)),
         (130, 17, (4, 5)),
         (200, wide, (7,)),
         (70, -wide, (0, 1, 2)),
@@ -35,6 +38,19 @@ def test_coin_mask_matches_coin_bit_for_bit():
         mask = coin_mask(n, seed, *indices)
         assert mask >> n == 0
         assert mask == sum(1 << v for v in range(n) if coin(seed, *indices, v))
+
+
+def test_chance_mask_matches_chance_bit_for_bit():
+    for n, p, seed, indices in (
+        (0, 0.5, 1, (2,)),
+        (65, 0.0, 3, (4,)),
+        (65, 1.0, 3, (4,)),
+        (129, 2**-60, 5, ()),
+        (129, 1 - 2**-53, 6, (7,)),
+        (200, 0.3, -(1 << 70), (8, 9)),
+    ):
+        mask = chance_mask(n, p, seed, *indices)
+        assert mask == sum(1 << v for v in range(n) if chance(p, seed, *indices, v))
 
 
 def test_mc_records_pinned():
