@@ -83,10 +83,6 @@ class TupleFamily:
     tuples: tuple[frozenset[int], ...]
     union_measure: Fraction
 
-    @property
-    def ell(self) -> int:
-        return comb(2 * self.k_base, self.k_base)
-
 
 def blocker_schedule(d_max: int) -> list[BlockerSchedule]:
     """Exact schedule values for levels 1..d_max (arbitrary precision).

@@ -5,11 +5,12 @@ row ``v`` meaning ``u ~ v``.  A set bit on the diagonal is a self-loop; a
 self-looped vertex is barred from every independent set.  All exact solvers
 are deterministic: fixed vertex order, fixed branching order, no randomness.
 
-Maximum search and maximum-set enumeration share one explicit-stack branch
-and bound on a candidate mask, so ``subset_alpha`` searches G[W] in place;
-no search recurses or touches the interpreter's recursion limit.  Below the
-root a node records only the color classes that can branch (k_min, as in
-MCS and BBMC), which leaves the search tree unchanged.
+Maximum search and maximum-set enumeration are one explicit-stack branch
+and bound on a candidate mask (enumeration keeps the ties of the largest
+size reached, in the same single pass), so ``subset_alpha`` searches G[W]
+in place; no search recurses or touches the interpreter's recursion limit.
+Below the root a node records only the color classes that can branch
+(k_min, as in MCS and BBMC), which leaves the search tree unchanged.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def _color_bound(P: int, adj: Sequence[int], kmin: int) -> tuple[list[int], list
 
 
 def _search(
-    adj: Sequence[int], P: int, budget: int, alpha: int | None = None, cap: int = DEFAULT_ENUM_CAP
+    adj: Sequence[int], P: int, budget: int, ties: bool = False, cap: int = DEFAULT_ENUM_CAP
 ) -> list[int]:
     """Coloring branch and bound over complement cliques inside P.
 
@@ -217,11 +218,12 @@ def _search(
     An empty P is all isolated, so it yields ``[0]`` with no node.
 
     Stack frames are [clique, size, candidates, color order, color bounds,
-    next index]; a frame is dropped once ``size + bound < need``.  With
-    ``alpha`` None (maximum search) each leaf past the floor is kept and
-    raises ``need``, so the last mask is the witness; with ``alpha`` given
-    every clique of that size is kept, up to ``cap``.  Exhaustion certifies
-    alpha in [floor, isolated count + root color count], or [alpha, alpha].
+    next index]; a frame is dropped once ``size + bound < need``.  ``found``
+    holds the leaves of the largest size ``best`` reached, and a larger leaf
+    empties it.  ``need`` is ``best + 1`` (maximum search: the one mask left
+    is the witness), or ``best`` with ``ties`` until more than ``cap`` are
+    held; :class:`CapExceededError` is raised only if the search ends so.
+    Exhaustion certifies alpha in [best, isolated count + root color count].
 
     ``adj`` are the graph's own rows.  P holds no self-looped vertex, so
     branching on v keeps its complement neighbours ``(local ^ bit) & ~adj[v]``.
@@ -237,11 +239,11 @@ def _search(
     if iso == P:
         return [iso]
     found: list[int] = []
-    need = 1 if alpha is None else alpha
+    best, need = 0, 1
     nodes = 0
     order, bound = _color_bound(P ^ iso, adj, 0)
     k = iso.bit_count()
-    upper = k + bound[-1] if alpha is None else alpha
+    upper = k + bound[-1]
     stack = [[iso, k, P ^ iso, order, bound, len(order)]]
     while stack:
         frame = stack[-1]
@@ -252,10 +254,9 @@ def _search(
             continue
         nodes += 1
         if nodes > budget:
-            lower = need - 1 if alpha is None else alpha
             raise BudgetExceededError(
-                f"independent-set search exceeded {budget} nodes; alpha in [{lower}, {upper}]",
-                lower_bound=lower, upper_bound=upper, nodes=nodes,
+                f"independent-set search exceeded {budget} nodes; alpha in [{best}, {upper}]",
+                lower_bound=best, upper_bound=upper, nodes=nodes,
             )
         v = order[i]
         bit = 1 << v
@@ -266,13 +267,12 @@ def _search(
             if c_order:
                 stack.append([r_mask | bit, r_size + 1, child, c_order, c_bound, len(c_order)])
         elif r_size + 1 >= need:
+            if r_size + 1 > best:
+                best, found = r_size + 1, []
             found.append(r_mask | bit)
-            if alpha is None:
-                need = r_size + 2
-            elif len(found) > cap:
-                raise CapExceededError(
-                    f"more than {cap} maximum independent sets", found=len(found)
-                )
+            need = best + (not ties or len(found) > cap)
+    if len(found) > cap:
+        raise CapExceededError(f"more than {cap} maximum independent sets", found=len(found))
     return found
 
 
@@ -293,11 +293,12 @@ def enumerate_maximum_independent_sets(
 ) -> list[VertexSet]:
     """All independent sets of size exactly alpha(G), sorted by bit mask.
 
-    Raises :class:`CapExceededError` (carrying the count found so far) once
-    more than ``cap`` sets exist.
+    One ``_search`` pass keeps the ties of the largest size reached, under
+    one ``budget``, whose exhaustion certifies alpha in [best, root bound].
+    Raises :class:`CapExceededError` (with ``found == cap + 1``) only when
+    more than ``cap`` sets of size alpha exist.
     """
-    alpha = max_independent_set(G, budget=budget).alpha
-    return [VertexSet(G.n, m) for m in sorted(_search(G.adj, G._allowed, budget, alpha, cap))]
+    return [VertexSet(G.n, m) for m in sorted(_search(G.adj, G._allowed, budget, True, cap))]
 
 
 def enumerate_maximal_independent_sets(
@@ -308,13 +309,17 @@ def enumerate_maximal_independent_sets(
     Bron-Kerbosch with pivoting on the complement-clique view, read from
     the closed rows ``adj[v] | 1 << v``.  A call's children depend only on
     it and its earlier siblings, so it pushes them all at once, first child
-    on top.
+    on top.  Past ``DEFAULT_NODE_BUDGET`` popped calls it raises.
     """
     closed = [row | 1 << v for v, row in enumerate(G.adj)]
     found: list[int] = []
+    budget, nodes = DEFAULT_NODE_BUDGET, 0
     stack = [(0, G._allowed, 0)]
     while stack:
         R, P, X = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"maximal-set enumeration exceeded {budget} nodes", nodes=nodes)
         if P == 0 and X == 0:
             if R.bit_count() >= min_size:
                 found.append(R)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -65,6 +65,11 @@ class WinningFamily:
 
     def measure(self, i: int) -> Fraction:
         return Fraction(self.sets[i].bit_count(), 1 << self.n)
+
+    @cached_property
+    def _view_shapes(self) -> dict[tuple[int, int], tuple[tuple, tuple]]:
+        """``_view_shape`` by (t, i), kept with the family so it dies with it."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -171,15 +176,16 @@ def view_index(coords: Sequence[int], i: int, N: int) -> int:
     return idx
 
 
-@lru_cache(maxsize=None)
 def _view_shape(family: WinningFamily, t: int, i: int) -> tuple[tuple, tuple]:
     """Index work behind ``_others_correct`` for player i of the t-player game.
 
     Returns the guesses whose set contains each point and, per other player
     j: the stride of x_i in j's view; per context c (the points of the
     players other than i and j), j's view at x_i = 0; and per view of player
-    i, the pair (c, x_j) it fixes.
+    i, the pair (c, x_j) it fixes.  Built once per family and (t, i).
     """
+    if (t, i) in family._view_shapes:
+        return family._view_shapes[t, i]
     N = 1 << family.n
     containing = tuple(r_v_distribution(family, x) for x in range(N))
     others = []
@@ -194,7 +200,8 @@ def _view_shape(family: WinningFamily, t: int, i: int) -> tuple[tuple, tuple]:
             bases[c] = view_index([*rest[:i], 0, *rest[i:]], j, N)
             where.append((c, rest[p]))
         others.append((j, N ** (t - 1 - i - (j > i)), tuple(bases), tuple(where)))
-    return containing, tuple(others)
+    shape = family._view_shapes[t, i] = containing, tuple(others)
+    return shape
 
 
 def _others_correct(

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hatlab import cli, hat_game
+from hatlab import cli, graph_core, hat_game
 from hatlab.blockers import DEFAULT_VERIFY_BUDGET
 from hatlab.cli import build_from_spec, build_parser, parse_spec, run
 from hatlab.constructions import kneser_hypercube, shift_graph
@@ -79,6 +79,16 @@ def test_hatgame_record_forced_quarter():
     assert status == 0
     assert records[0]["values"]["value"] == "1/4"
     assert records[0]["values"]["mode"] == "exact"
+
+
+def test_hatgame_one_player_record():
+    status, records = run_capture(
+        ["hatgame", "--kind", "intersecting", "--players", "1", "--hats", "3"]
+    )
+    assert status == 0
+    values = records[0]["values"]
+    assert (values["value"], values["mode"], values["num_sets"]) == ("1/2", "exact", 4)
+    assert values["witness_tables"] == [[0]]
 
 
 def test_hatgame_three_players_needs_a_seed():
@@ -636,6 +646,25 @@ def test_budget_exhaustion_names_certified_interval(capsys):
     assert status == 1
     err = capsys.readouterr().err
     assert "exceeded 1000 nodes; alpha in [86, 105]" in err
+
+
+def test_threshold_targets_stop_at_the_node_budget(monkeypatch, capsys):
+    # the maximal-set enumeration behind --threshold reads the library budget
+    argv = ["hitting", "--construct", "shift:3", "--threshold", "1/2"]
+    assert run_capture(argv)[0] == 0
+    monkeypatch.setattr(graph_core, "DEFAULT_NODE_BUDGET", 5)
+    assert run_capture(argv) == (1, [])
+    assert "maximal-set enumeration exceeded 5 nodes" in capsys.readouterr().err
+
+
+def test_suite_quick_writes_one_passing_record_per_criterion(tmp_path, capsys):
+    out = tmp_path / "suite.jsonl"
+    status, returned = cli.run(["--out", str(out), "suite", "--quick"])
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert status == 0 and records == returned
+    assert [r["criterion"] for r in records] == list(range(1, 14))
+    assert all(r["command"] == "suite" and r["pass"] is True for r in records)
+    assert "ALL PASS: 13/13" in capsys.readouterr().out
 
 
 # -- replay determinism -------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hatlab import graph_core
 from hatlab.bits import iter_bits
 from hatlab.errors import BudgetExceededError, CapExceededError, GraphFormatError, SizeLimitError
 from hatlab.graph_core import (
@@ -312,6 +313,70 @@ def test_enumerate_maximum_budget_exhaustion_names_alpha():
     assert exc.value.nodes == 21
 
 
+def test_enumerate_maximum_keeps_ties_past_the_cap_until_the_end():
+    # On 102 of these 900 graphs the search holds cap + 1 ties of a size
+    # below alpha before it reaches alpha (gnp:14,0.5,8 has a single maximum
+    # set), so the cap may only be judged once the search ends.
+    assert len(enumerate_maximum_independent_sets(random_gnp(14, 0.5, 8), cap=1)) == 1
+    for p in (0.2, 0.35, 0.5):
+        for s in range(300):
+            G = random_gnp(14, p, s)
+            maxima = brute_maximum_sets(G)
+            sets = enumerate_maximum_independent_sets(G, cap=len(maxima))
+            assert {vs.bits for vs in sets} == maxima, (p, s)
+            # the two-pass oracle: alpha first, then every clique of that size
+            rows, allowed = complement_rows(G)
+            alpha = max_independent_set(G).alpha
+            assert [vs.bits for vs in sets] == sorted(reference_search(rows, allowed, 1 << 40, alpha))
+            with pytest.raises(CapExceededError) as exc:
+                enumerate_maximum_independent_sets(G, cap=len(maxima) - 1)
+            assert exc.value.found == len(maxima), (p, s)
+
+
+def test_enumerate_maximum_is_one_search_under_one_budget(monkeypatch):
+    G = cayley_distance_graph(6, 1)
+    calls = []
+    search = graph_core._search
+
+    def spy(adj, P, budget, *rest):
+        calls.append(rest)
+        return search(adj, P, budget, *rest)
+
+    monkeypatch.setattr(graph_core, "_search", spy)
+    monkeypatch.setattr(graph_core, "max_independent_set", None)  # no alpha pre-pass
+    # one budget bounds the whole enumeration: 11,201 nodes find all 64
+    # maximum sets, and one node fewer certifies only an interval
+    assert len(enumerate_maximum_independent_sets(G, budget=11_201)) == 64
+    assert calls == [(True, graph_core.DEFAULT_ENUM_CAP)]
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_maximum_independent_sets(G, budget=11_200)
+    e = exc.value
+    assert e.nodes == 11_201 and e.lower_bound <= 22 <= e.upper_bound
+    assert f"alpha in [{e.lower_bound}, {e.upper_bound}]" in str(e)
+
+
+def test_enumerate_maximum_exhaustion_certifies_alpha():
+    exhausted = 0
+    for g in range(160):
+        n = 6 + g % 11
+        p = (0.1, 0.2, 0.35, 0.6)[g % 4]
+        loop_rate = 0.15 if g % 3 == 0 else 0.0
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if chance(p, 36, g, u, v)]
+        edges += [(v, v) for v in range(n) if chance(loop_rate, 37, g, v)]
+        G = make_graph(n, edges)
+        alpha = brute_alpha(G)
+        for budget in (1, 2, 4, 8, 16, 32, 64):
+            try:
+                sets = enumerate_maximum_independent_sets(G, budget=budget)
+            except BudgetExceededError as e:
+                exhausted += 1
+                assert e.lower_bound <= alpha <= e.upper_bound, (g, budget)
+                assert e.nodes == budget + 1
+            else:
+                assert {vs.bits for vs in sets} == brute_maximum_sets(G), (g, budget)
+    assert exhausted > 300
+
+
 # -- maximal sets ------------------------------------------------------------
 
 
@@ -347,6 +412,18 @@ def test_maximal_sets_of_kneser_are_intersecting_families():
 def test_maximal_cap():
     with pytest.raises(CapExceededError):
         enumerate_maximal_independent_sets(TRIANGLE, cap=2)
+
+
+def test_maximal_enumeration_is_budgeted(monkeypatch):
+    # the root call and its three children: four nodes, read from the
+    # library budget at call time
+    monkeypatch.setattr(graph_core, "DEFAULT_NODE_BUDGET", 4)
+    assert len(enumerate_maximal_independent_sets(TRIANGLE)) == 3
+    monkeypatch.setattr(graph_core, "DEFAULT_NODE_BUDGET", 3)
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_maximal_independent_sets(TRIANGLE)
+    assert exc.value.nodes == 4
+    assert "maximal-set enumeration exceeded 3 nodes" in str(exc.value)
 
 
 # -- induced subgraphs -------------------------------------------------------

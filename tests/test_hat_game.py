@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -309,6 +311,17 @@ def test_nested_lower_bound_witness_consistent():
     gv = nested_lower_bound(fam, 3, seed=5, restarts=2)
     _, measure = winning_set_of_strategy(fam, gv.witness)
     assert measure == gv.value
+
+
+def test_view_shapes_die_with_their_family():
+    # the per-(t, i) index work is kept with the family, not in a module cache
+    fam = winning_family("dictator", 2)
+    first = nested_lower_bound(fam, 4, seed=1, restarts=1).value
+    assert nested_lower_bound(fam, 4, seed=1, restarts=1).value == first
+    dead = weakref.ref(fam)
+    del fam
+    gc.collect()
+    assert dead() is None
 
 
 def test_coordinate_ascent_never_decreases():
