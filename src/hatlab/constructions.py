@@ -195,13 +195,10 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     _check_size(f"random_gnp({n}, ...)", n)
-    adj = [0] * n
-    for u in range(n):
-        row = chance_mask(n, p, seed, u) >> (u + 1) << (u + 1)
-        adj[u] |= row
-        for v in iter_bits(row):
-            adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    upper = [chance_mask(n, p, seed, u) >> (u + 1) << (u + 1) for u in range(n)]
+    # the lower triangle is the transpose: bit v of row u is text[u * n + n - 1 - v]
+    text = "".join(format(row, f"0{n}b") for row in upper)
+    return Graph(n, tuple([row | int(text[n - 1 - v::n][::-1], 2) for v, row in enumerate(upper)]))
 
 
 def product_labels(factor_labels: list[list[str]]) -> list[str]:

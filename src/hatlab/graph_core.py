@@ -11,6 +11,8 @@ size reached, in the same single pass), so ``subset_alpha`` searches G[W]
 in place; no search recurses or touches the interpreter's recursion limit.
 Below the root a node records only the color classes that can branch
 (k_min, as in MCS and BBMC), which leaves the search tree unchanged.
+The maximum search first takes what the degree <= 1 rules settle, then
+searches the components of the rest in turn (Akiba & Iwata 2016; KaMIS).
 """
 
 from __future__ import annotations
@@ -206,71 +208,108 @@ def _color_bound(P: int, adj: Sequence[int], kmin: int) -> tuple[list[int], list
     return order, bound
 
 
+def _reduce(adj: Sequence[int], P: int) -> tuple[int, list[int]]:
+    """Take what the degree <= 1 rules settle in G[P]; split the rest.
+
+    One scan takes the isolated vertices and notes those of degree 1.  Such a
+    v lies in a maximum set (swap its neighbour u for v): v is taken, u
+    dropped and u's neighbours checked again, to a fixpoint.  The rest comes
+    back as its components, by ascending (size, lowest vertex).
+    """
+    taken, check, rest = 0, 0, P
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        nb = P & adj[bit.bit_length() - 1]
+        if not nb:
+            taken |= bit
+        elif not nb & (nb - 1):
+            check |= bit
+    P ^= taken
+    while check:
+        bit = check & -check
+        check ^= bit
+        nb = P & adj[bit.bit_length() - 1]
+        if bit & P and not nb & (nb - 1):
+            taken |= bit
+            P ^= bit | nb
+            if nb:
+                check |= P & adj[nb.bit_length() - 1]
+    parts = []
+    while P:
+        grow = P & -P
+        left = P ^ grow
+        while grow and left:
+            bit = grow & -grow
+            grow ^= bit
+            new = adj[bit.bit_length() - 1] & left
+            left ^= new
+            grow |= new
+        parts.append(P ^ left)
+        P = left
+    parts.sort(key=lambda part: (part.bit_count(), part & -part))
+    return taken, parts
+
+
 def _search(
-    adj: Sequence[int], P: int, budget: int, ties: bool = False, cap: int = DEFAULT_ENUM_CAP
+    adj: Sequence[int], taken: int, parts: Sequence[int], budget: int,
+    ties: bool = False, cap: int = DEFAULT_ENUM_CAP,
 ) -> list[int]:
-    """Coloring branch and bound over complement cliques inside P.
+    """Coloring branch and bound over complement cliques, on top of ``taken``.
 
-    The candidates isolated in G[P] lie in every maximum set, so the root
-    frame takes them all at once instead of one branch level each.  They
-    are universal in the complement, so each would be a singleton color
-    class: the rest of the tree, its witnesses and its bounds are the same.
-    An empty P is all isolated, so it yields ``[0]`` with no node.
-
+    The ``parts``, with no edge between two, are searched in turn from the
+    witness so far, on one node budget; with none, ``[taken]`` costs no node.
     Stack frames are [clique, size, candidates, color order, color bounds,
     next index]; a frame is dropped once ``size + bound < need``.  ``found``
     holds the leaves of the largest size ``best`` reached, and a larger leaf
     empties it.  ``need`` is ``best + 1`` (maximum search: the one mask left
-    is the witness), or ``best`` with ``ties`` until more than ``cap`` are
-    held; :class:`CapExceededError` is raised only if the search ends so.
-    Exhaustion certifies alpha in [best, isolated count + root color count].
+    is the witness), or ``best`` with ``ties`` (one part) until more than
+    ``cap`` are held; :class:`CapExceededError` is raised only if the search
+    ends so.  Exhaustion certifies alpha in [best, the size before the part
+    + the root color counts of it and of the parts after it].
 
-    ``adj`` are the graph's own rows.  P holds no self-looped vertex, so
-    branching on v keeps its complement neighbours ``(local ^ bit) & ~adj[v]``.
-    The root is colored in full, so ``upper`` is certified; a child records
+    ``adj`` are the graph's own rows.  The parts hold no self-looped vertex,
+    so branching on v keeps its complement neighbours ``(local ^ bit) & ~adj[v]``.
+    Each root is colored in full, so ``upper`` is certified; a child records
     only its classes from ``need - r_size - 1`` on and is not pushed without
     one.  ``need`` never falls, so nothing left out could be branched on:
     the tree, its node counts and its leaves are those of the full coloring.
     """
-    iso = 0
-    for v in iter_bits(P):
-        if not P & adj[v]:
-            iso |= 1 << v
-    if iso == P:
-        return [iso]
-    found: list[int] = []
-    best, need = 0, 1
+    found, best = [taken], taken.bit_count()
+    need = best + 1
     nodes = 0
-    order, bound = _color_bound(P ^ iso, adj, 0)
-    k = iso.bit_count()
-    upper = k + bound[-1]
-    stack = [[iso, k, P ^ iso, order, bound, len(order)]]
-    while stack:
-        frame = stack[-1]
-        r_mask, r_size, local, order, bound, i = frame
-        i -= 1
-        if i < 0 or r_size + bound[i] < need:
-            stack.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"independent-set search exceeded {budget} nodes; alpha in [{best}, {upper}]",
-                lower_bound=best, upper_bound=upper, nodes=nodes,
-            )
-        v = order[i]
-        bit = 1 << v
-        frame[2], frame[5] = local ^ bit, i
-        child = (local ^ bit) & ~adj[v]
-        if child:
-            c_order, c_bound = _color_bound(child, adj, need - r_size - 1)
-            if c_order:
-                stack.append([r_mask | bit, r_size + 1, child, c_order, c_bound, len(c_order)])
-        elif r_size + 1 >= need:
-            if r_size + 1 > best:
-                best, found = r_size + 1, []
-            found.append(r_mask | bit)
-            need = best + (not ties or len(found) > cap)
+    roots = [_color_bound(part, adj, 0) for part in parts]
+    later = sum(bound[-1] for _, bound in roots)
+    for part, (order, bound) in zip(parts, roots):
+        later -= bound[-1]
+        upper = best + bound[-1] + later
+        stack = [[found[-1], best, part, order, bound, len(order)]]
+        while stack:
+            frame = stack[-1]
+            r_mask, r_size, local, order, bound, i = frame
+            i -= 1
+            if i < 0 or r_size + bound[i] < need:
+                stack.pop()
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"independent-set search exceeded {budget} nodes; alpha in [{best}, {upper}]",
+                    lower_bound=best, upper_bound=upper, nodes=nodes,
+                )
+            v = order[i]
+            bit = 1 << v
+            frame[2], frame[5] = local ^ bit, i
+            child = (local ^ bit) & ~adj[v]
+            if child:
+                c_order, c_bound = _color_bound(child, adj, need - r_size - 1)
+                if c_order:
+                    stack.append([r_mask | bit, r_size + 1, child, c_order, c_bound, len(c_order)])
+            elif r_size + 1 >= need:
+                if r_size + 1 > best:
+                    best, found = r_size + 1, []
+                found.append(r_mask | bit)
+                need = best + (not ties or len(found) > cap)
     if len(found) > cap:
         raise CapExceededError(f"more than {cap} maximum independent sets", found=len(found))
     return found
@@ -280,10 +319,10 @@ def max_independent_set(G: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MISResul
     """Exact alpha(G) with a witness.
 
     Deterministic: the witness is the first optimum reached under the fixed
-    branching order.  Raises :class:`BudgetExceededError` carrying the best
-    lower/upper bounds when the node budget runs out.
+    reduction and branching order.  Raises :class:`BudgetExceededError`
+    carrying the best lower/upper bounds when the node budget runs out.
     """
-    best = _search(G.adj, G._allowed, budget)[-1]
+    best = _search(G.adj, *_reduce(G.adj, G._allowed), budget)[-1]
     alpha = best.bit_count()
     return MISResult(alpha, VertexSet(G.n, best), Fraction(alpha, G.n or 1))
 
@@ -293,12 +332,16 @@ def enumerate_maximum_independent_sets(
 ) -> list[VertexSet]:
     """All independent sets of size exactly alpha(G), sorted by bit mask.
 
-    One ``_search`` pass keeps the ties of the largest size reached, under
-    one ``budget``, whose exhaustion certifies alpha in [best, root bound].
-    Raises :class:`CapExceededError` (with ``found == cap + 1``) only when
-    more than ``cap`` sets of size alpha exist.
+    The isolated vertices are taken (the degree-1 rule would lose sets); one
+    ``_search`` pass on the rest keeps the ties of the largest size reached,
+    under one ``budget``, whose exhaustion certifies alpha in [best, root
+    bound].  Raises :class:`CapExceededError` (with ``found == cap + 1``)
+    only when more than ``cap`` sets of size alpha exist.
     """
-    return [VertexSet(G.n, m) for m in sorted(_search(G.adj, G._allowed, budget, True, cap))]
+    P = G._allowed
+    iso = sum(1 << v for v in iter_bits(P) if not P & G.adj[v])
+    rest = [P ^ iso] if P ^ iso else []
+    return [VertexSet(G.n, m) for m in sorted(_search(G.adj, iso, rest, budget, True, cap))]
 
 
 def enumerate_maximal_independent_sets(
@@ -363,14 +406,14 @@ def induced_subgraph(G: Graph, S: VertexSet) -> Graph:
 def subset_alpha(G: Graph, W: int) -> int:
     """alpha(G[W]) for the vertex mask W, without building G[W].
 
-    Same search, node count and default budget as ``max_independent_set``
-    on the induced subgraph: the vertices isolated in G[W] are taken at the
-    root, and the certified upper bound is their count plus the root color
-    count of the rest.  A sparse random W is mostly isolated vertices.
+    Same reduction, search, node count and default budget as
+    ``max_independent_set`` on the induced subgraph: the degree <= 1 rules
+    run on G[W], whose vertex order is W's.  A sparse random W is mostly
+    isolated vertices.
     """
     if W < 0 or W >> G.n:
         raise ValueError("vertex mask out of range for the graph")
-    return _search(G.adj, G._allowed & W, DEFAULT_NODE_BUDGET)[-1].bit_count()
+    return _search(G.adj, *_reduce(G.adj, G._allowed & W), DEFAULT_NODE_BUDGET)[-1].bit_count()
 
 
 def subset_alpha_table(G: Graph) -> list[int]:

@@ -463,9 +463,9 @@ def reference_search(
 ) -> list[int]:
     """Coloring branch and bound over complement cliques inside nonempty P.
 
-    ``hatlab.graph_core._search`` before it took isolated candidates at
-    the root: the same frames, node order, tie-breaks and bounds, one
-    branch node per isolated vertex.
+    ``hatlab.graph_core._search`` on P as its one part with nothing taken:
+    the same frames, node order, tie-breaks and bounds, one branch node per
+    isolated vertex (the maximum search's reduction takes those unbranched).
 
     Stack frames are [clique, size, candidates, color order, color bounds,
     next index]; a frame is dropped once ``size + bound < need``.  With

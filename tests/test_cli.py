@@ -645,7 +645,7 @@ def test_budget_exhaustion_names_certified_interval(capsys):
     status, _ = run_capture(["alpha", "--construct", "kneser:4^2", "--budget", "1000"])
     assert status == 1
     err = capsys.readouterr().err
-    assert "exceeded 1000 nodes; alpha in [86, 105]" in err
+    assert "exceeded 1000 nodes; alpha in [86, 103]" in err
 
 
 def test_threshold_targets_stop_at_the_node_budget(monkeypatch, capsys):

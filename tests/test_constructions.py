@@ -240,6 +240,7 @@ def test_gnp_fingerprints_pinned():
     # captured when every pair drew its own scalar chance
     assert graph_fingerprint(random_gnp(200, 0.01, 4)) == "5b85bb93feff"
     assert graph_fingerprint(random_gnp(1000, 0.5, 4)) == "2050aacfa328"
+    assert graph_fingerprint(random_gnp(2000, 0.01, 4)) == "599ed389f8e3"
 
 
 def test_gnp_reproducible():

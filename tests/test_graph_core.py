@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from hatlab import graph_core
-from hatlab.bits import iter_bits
 from hatlab.errors import BudgetExceededError, CapExceededError, GraphFormatError, SizeLimitError
 from hatlab.graph_core import (
     DEFAULT_NODE_BUDGET,
@@ -126,8 +125,8 @@ def test_budget_exceeded_carries_bounds():
 # Witness masks of the fixed branching order; a change here is a tie-break
 # change, which the search core must not make silently.
 CORPUS_WITNESSES = [
-    14, 31, 56, 101, 166, 27, 986, 1428, 1668, 5520, 11, 12, 30, 43, 156,
-    304, 168, 560, 3287, 3468, 13, 14, 28, 96, 235, 218, 888, 1410, 2634, 2060,
+    11, 31, 41, 23, 166, 27, 191, 1428, 1668, 5520, 11, 18, 27, 43, 156,
+    304, 168, 560, 2295, 3468, 7, 7, 14, 96, 123, 218, 888, 1410, 2634, 2060,
 ]
 
 
@@ -138,8 +137,8 @@ def test_witnesses_pinned_on_corpus():
 def test_witnesses_pinned_on_frontier_graphs():
     k3 = kneser_hypercube(3)
     for G, alpha, bits in (
-        (kneser_hypercube(6), 32, 0xFFFFFFFF00000000),
-        (hamming_power(k3, 2), 22, 0xF0F0CCD02A220C00),
+        (kneser_hypercube(6), 32, 0xAAAAAAAAAAAAAAAA),
+        (hamming_power(k3, 2), 22, 0xAA70CC50AA228C00),
         (cayley_distance_graph(6, 1), 22, 0xF771711071101000),
         (random_gnp(100, 0.2, seed=201), 19, 0xC0510808010B2010083020C00),
         (make_graph(1024, []), 1024, (1 << 1024) - 1),
@@ -150,8 +149,8 @@ def test_witnesses_pinned_on_frontier_graphs():
 
 def test_budgeted_intervals_pinned():
     for G, budget, interval in (
-        (hamming_power(kneser_hypercube(4), 2), 100_000, (86, 105, 100_001)),
-        (hamming_power(kneser_hypercube(3), 3), 30_000, (131, 157, 30_001)),
+        (hamming_power(kneser_hypercube(4), 2), 100_000, (86, 103, 100_001)),
+        (hamming_power(kneser_hypercube(3), 3), 30_000, (134, 145, 30_001)),
     ):
         with pytest.raises(BudgetExceededError) as exc:
             max_independent_set(G, budget=budget)
@@ -207,36 +206,102 @@ def _search_outcome(search):
 
 
 def test_search_matches_reference_search():
+    # with nothing taken and P as one part, the search is the reference's
     huge = 1 << 40
-    with_isolated = budgeted = 0
+    budgeted = 0
     for g in range(1200):
         G = _differential_graph(g)
         rows, allowed = complement_rows(G)
-        res = max_independent_set(G)
         if not allowed:
-            assert res.alpha == 0
             continue
-        assert res.witness.bits == reference_search(rows, allowed, huge)[-1]
-        maxima = sorted(reference_search(rows, allowed, huge, res.alpha))
-        assert [vs.bits for vs in enumerate_maximum_independent_sets(G)] == maxima
-        for j in range(3):
-            W = u64(34, g, j) & ((1 << G.n) - 1)
-            P = allowed & W
-            expected = reference_search(rows, P, DEFAULT_NODE_BUDGET)[-1].bit_count() if P else 0
-            assert subset_alpha(G, W) == expected
-        isolated = any(allowed & ~rows[v] == 1 << v for v in iter_bits(allowed))
-        with_isolated += isolated
+        witness = reference_search(rows, allowed, huge)[-1]
+        assert graph_core._search(G.adj, 0, [allowed], huge)[-1] == witness
         for budget in (1, 3, 10, 40):
             ref = _search_outcome(lambda: reference_search(rows, allowed, budget)[-1])
-            got = _search_outcome(lambda: max_independent_set(G, budget=budget).witness.bits)
+            got = _search_outcome(lambda: graph_core._search(G.adj, 0, [allowed], budget)[-1])
+            assert got == ref, (g, budget)
             budgeted += isinstance(got, tuple)
-            if not isolated:  # nothing to take at the root: the same tree
-                assert got == ref
-            elif isinstance(got, tuple):  # the same leaves, reached in fewer nodes
-                assert isinstance(ref, tuple) and got[1:] == ref[1:] and got[0] >= ref[0]
-            elif isinstance(ref, int):
-                assert got == ref
-    assert with_isolated > 300 and budgeted > 300
+        maxima = sorted(reference_search(rows, allowed, huge, witness.bit_count()))
+        assert [vs.bits for vs in enumerate_maximum_independent_sets(G)] == maxima
+    assert budgeted > 1000
+
+
+def _certified(search, alpha, budget):
+    """The alpha a budgeted search returns, or the interval it raises,
+    which must hold alpha after exactly ``budget + 1`` nodes."""
+    try:
+        return search()
+    except BudgetExceededError as e:
+        assert e.lower_bound <= alpha <= e.upper_bound and e.nodes == budget + 1
+        return None
+
+
+def test_reduced_searches_are_exact_or_certified(monkeypatch):
+    # the degree <= 1 rules and the component split change the tree, so
+    # against the reference only alpha, independence and the interval hold
+    huge = 1 << 40
+    reduced = exhausted = 0
+    for g in range(1200):
+        G = _differential_graph(g)
+        rows, allowed = complement_rows(G)
+        taken, parts = graph_core._reduce(G.adj, allowed)
+        reduced += taken != 0 or len(parts) > 1
+        masks = [u64(34, g, j) & ((1 << G.n) - 1) for j in range(3)]
+        alphas = [reference_search(rows, allowed & W, huge)[-1].bit_count() if allowed & W else 0
+                  for W in masks]
+        alpha = reference_search(rows, allowed, huge)[-1].bit_count() if allowed else 0
+        for budget in (1, 3, 10, 40, DEFAULT_NODE_BUDGET):
+            res = _certified(lambda: max_independent_set(G, budget=budget), alpha, budget)
+            if res is None:
+                exhausted += 1
+            else:
+                assert res.alpha == len(res.witness) == alpha and is_independent(G, res.witness.bits)
+            monkeypatch.setattr(graph_core, "DEFAULT_NODE_BUDGET", budget)
+            for W, sub_alpha in zip(masks, alphas):
+                assert _certified(lambda: subset_alpha(G, W), sub_alpha, budget) in (None, sub_alpha)
+            monkeypatch.undo()
+    assert reduced > 800 and exhausted > 700
+
+
+def test_subset_alpha_is_the_search_on_the_induced_subgraph(monkeypatch):
+    # same alpha, interval and node count: G[W] keeps W's vertex order
+    exhausted = 0
+    for g in range(400):
+        G = _differential_graph(g)
+        W = u64(38, g) & ((1 << G.n) - 1)
+        H = induced_subgraph(G, VertexSet(G.n, W))
+        for budget in (1, 3, 10, 40, DEFAULT_NODE_BUDGET):
+            want = _search_outcome(lambda: max_independent_set(H, budget=budget).alpha)
+            monkeypatch.setattr(graph_core, "DEFAULT_NODE_BUDGET", budget)
+            assert _search_outcome(lambda: subset_alpha(G, W)) == want, (g, budget)
+            monkeypatch.undo()
+            exhausted += isinstance(want, tuple)
+    assert exhausted > 100
+
+
+def test_components_share_one_budget_and_sum_their_bounds():
+    # C7 on 0..6, C5 on 7..11, the edge 12-13 and vertex 14: the rules take
+    # 12 and 14, then C5 (root bound 3) is searched before C7 (root bound 4)
+    edges = [(i, (i + 1) % 7) for i in range(7)] + [(7 + i, 7 + (i + 1) % 5) for i in range(5)]
+    G = make_graph(15, edges + [(12, 13)])
+    assert graph_core._reduce(G.adj, G._allowed) == (1 << 12 | 1 << 14, [0b111110000000, 0b1111111])
+    for budget, interval in ((1, (2, 9, 2)), (2, (4, 8, 3)), (4, (4, 8, 5))):
+        with pytest.raises(BudgetExceededError) as exc:
+            max_independent_set(G, budget=budget)
+        assert (exc.value.lower_bound, exc.value.upper_bound, exc.value.nodes) == interval
+    assert max_independent_set(G, budget=5).alpha == 7
+
+
+def test_degree_one_rule_closes_sparse_gnp():
+    # 214 edges: the rules leave one 33-vertex component, which 18 nodes
+    # close (the plain search took 52.6 s); 17 leave an interval
+    G = random_gnp(200, 0.01, 4)
+    taken, parts = graph_core._reduce(G.adj, G._allowed)
+    assert (taken.bit_count(), [part.bit_count() for part in parts]) == (100, [33])
+    res = max_independent_set(G, budget=18)
+    assert res.alpha == 117 and is_independent(G, res.witness.bits)
+    with pytest.raises(BudgetExceededError, match=r"alpha in \[117, 119\]"):
+        max_independent_set(G, budget=17)
 
 
 def test_truncated_coloring_is_the_top_of_the_full_coloring():
@@ -255,19 +320,26 @@ def test_truncated_coloring_is_the_top_of_the_full_coloring():
 
 
 def test_hamming_products_match_reference_search():
-    # each product has one isolated vertex, so the root takes it; nothing else moves
+    # The rules settle all of K(4)^2 but K'(4)^2 (196 vertices), and all of
+    # K(3)^3 but three K'(3)^2 (36 vertices, 64 nodes each) and K'(3)^3
+    # (216).  Searched last, from the witness so far, the largest component
+    # is the reference search on it, shifted by the size and nodes before it.
     k3 = kneser_hypercube(3)
-    for G, budget, interval in (
-        (hamming_power(kneser_hypercube(4), 2), 2_000, (86, 105, 2_001)),
-        (hamming_power(k3, 3), 500, (129, 157, 501)),
+    for G, sizes, before, used, budget, interval in (
+        (hamming_power(kneser_hypercube(4), 2), [196], 15, 0, 2_000, (86, 103, 2_001)),
+        (hamming_power(k3, 3), [36, 36, 36, 216], 55, 192, 500, (133, 145, 693)),
     ):
         rows, allowed = complement_rows(G)
-        ref = _search_outcome(lambda: reference_search(rows, allowed, budget)[-1])
-        got = _search_outcome(lambda: max_independent_set(G, budget=budget).witness.bits)
-        assert ref == got == interval
+        taken, parts = graph_core._reduce(G.adj, allowed)
+        assert [part.bit_count() for part in parts] == sizes
+        lower, upper, nodes = _search_outcome(lambda: reference_search(rows, parts[-1], budget)[-1])
+        got = _search_outcome(lambda: max_independent_set(G, budget=used + budget))
+        assert got == (before + lower, before + upper, used + nodes) == interval
+    # K(6) is settled by the rules alone: no part is left to search
     G = kneser_hypercube(6)
-    rows, allowed = complement_rows(G)
-    assert max_independent_set(G).witness.bits == reference_search(rows, allowed, 1 << 40)[-1]
+    taken, parts = graph_core._reduce(G.adj, G._allowed)
+    assert parts == [] and taken == max_independent_set(G, budget=1).witness.bits
+    assert taken.bit_count() == 32 and is_independent(G, taken)
 
 
 # -- enumeration of maximum sets ---------------------------------------------
@@ -338,9 +410,9 @@ def test_enumerate_maximum_is_one_search_under_one_budget(monkeypatch):
     calls = []
     search = graph_core._search
 
-    def spy(adj, P, budget, *rest):
+    def spy(adj, taken, parts, budget, *rest):
         calls.append(rest)
-        return search(adj, P, budget, *rest)
+        return search(adj, taken, parts, budget, *rest)
 
     monkeypatch.setattr(graph_core, "_search", spy)
     monkeypatch.setattr(graph_core, "max_independent_set", None)  # no alpha pre-pass
