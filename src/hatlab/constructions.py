@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product as iter_product
 
 from .bits import iter_bits, iter_submasks, point_to_str
 from .errors import SizeLimitError
@@ -203,9 +204,4 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 
 def product_labels(factor_labels: list[list[str]]) -> list[str]:
     """Labels for a product graph, major factor first."""
-    codec = ProductIndex(tuple(len(lab) for lab in factor_labels))
-    out = []
-    for flat in range(codec.size):
-        coords = codec.coords(flat)
-        out.append("(" + ",".join(factor_labels[i][c] for i, c in enumerate(coords)) + ")")
-    return out
+    return ["(" + ",".join(coords) + ")" for coords in iter_product(*factor_labels)]

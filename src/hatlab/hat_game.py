@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -65,11 +64,6 @@ class WinningFamily:
 
     def measure(self, i: int) -> Fraction:
         return Fraction(self.sets[i].bit_count(), 1 << self.n)
-
-    @cached_property
-    def _view_shapes(self) -> dict[tuple[int, int], tuple[tuple, tuple]]:
-        """``_view_shape`` by (t, i), kept with the family so it dies with it."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -167,71 +161,37 @@ def winning_family(kind: str, n: int) -> WinningFamily:
 # ---------------------------------------------------------------------------
 
 
-def view_index(coords: Sequence[int], i: int, N: int) -> int:
-    """Flat index of the view of player i for the given full tuple."""
-    idx = 0
-    for j, c in enumerate(coords):
-        if j != i:
-            idx = idx * N + c
-    return idx
-
-
-def _view_shape(family: WinningFamily, t: int, i: int) -> tuple[tuple, tuple]:
-    """Index work behind ``_others_correct`` for player i of the t-player game.
-
-    Returns the guesses whose set contains each point and, per other player
-    j: the stride of x_i in j's view; per context c (the points of the
-    players other than i and j), j's view at x_i = 0; and per view of player
-    i, the pair (c, x_j) it fixes.  Built once per family and (t, i).
-    """
-    if (t, i) in family._view_shapes:
-        return family._view_shapes[t, i]
-    N = 1 << family.n
-    containing = tuple(r_v_distribution(family, x) for x in range(N))
-    others = []
-    for j in range(t):
-        if j == i:
-            continue
-        p = j - (j > i)  # j's position in player i's view
-        bases = [0] * N ** (t - 2)
-        where = []
-        for rest in iter_product(range(N), repeat=t - 1):
-            c = view_index(rest, p, N)
-            bases[c] = view_index([*rest[:i], 0, *rest[i:]], j, N)
-            where.append((c, rest[p]))
-        others.append((j, N ** (t - 1 - i - (j > i)), tuple(bases), tuple(where)))
-    shape = family._view_shapes[t, i] = containing, tuple(others)
-    return shape
-
-
-def _others_correct(
-    family: WinningFamily, tables: Sequence[Sequence[int]], i: int
-) -> list[int]:
+def _others_correct(family: WinningFamily, tables: Sequence[Sequence[int]], i: int) -> list[int]:
     """Per view of player i, the N-bit mask of her points x_i at which every
     other player guesses right.  ``tables[i]`` is not read.
 
-    For each other player j, the preimages of j's guesses along x_i are
-    OR-ed over the guesses whose set contains x_j; the results are AND-ed
-    over j.
+    Per other player j and context c (the points of the players other than
+    i and j), the preimages of j's guesses along x_i, which has weight
+    N^(t-1-i-(j>i)) in j's view, are OR-ed per x_j over the guesses whose
+    set contains x_j and AND-ed into i's view, where x_j has weight
+    N^(t-2-j+(j>i)).
     """
     N = 1 << family.n
     t = len(tables)
-    containing, others = _view_shape(family, t, i)
+    containing = [r_v_distribution(family, x) for x in range(N)]
     ok = [(1 << N) - 1] * N ** (t - 1)
-    for j, stride, bases, where in others:
-        table = tables[j]
-        preimages = []
-        for base in bases:
+    for j, table in enumerate(tables):
+        if j == i:
+            continue
+        stride = N ** (t - 1 - i - (j > i))
+        weight = N ** (t - 2 - j + (j > i))
+        for c in range(N ** (t - 2)):
+            base = c // stride * stride * N + c % stride
             pre = [0] * family.r
             for x_i, g in enumerate(table[base : base + N * stride : stride]):
                 pre[g] |= 1 << x_i
-            preimages.append(pre)
-        for v, (c, x_j) in enumerate(where):
-            pre = preimages[c]
-            union = 0
-            for g in containing[x_j]:
-                union |= pre[g]
-            ok[v] &= union
+            at = c // weight * weight * N + c % weight
+            for gs in containing:
+                union = 0
+                for g in gs:
+                    union |= pre[g]
+                ok[at] &= union
+                at += weight
     return ok
 
 
@@ -263,6 +223,20 @@ def _guard_tuples(N: int, t: int) -> int:
     return total
 
 
+def _check_guesses(
+    family: WinningFamily, tables: Sequence[Sequence[int]], views: int, t: int = 0, n: int = 0
+) -> None:
+    """Raise ValueError unless each of ``tables`` holds ``views`` winning-set
+    indices of the family and, when t is given, there are t tables and n is
+    the family's."""
+    if t and (len(tables), n) != (t, family.n):
+        raise ValueError(f"need {t} tables for n = {family.n}; got {len(tables)} for n = {n}")
+    indices = set(range(family.r))
+    for table in tables:
+        if len(table) != views or not indices.issuperset(table):
+            raise ValueError(f"need tables of {views} winning-set indices in range({family.r})")
+
+
 def winning_set_of_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fraction]:
     """Exact winning set of a strategy as a bit mask over B^t, plus its measure.
 
@@ -273,6 +247,7 @@ def winning_set_of_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fr
     N = 1 << family.n
     t = s.t
     total = _guard_tuples(N, t)
+    _check_guesses(family, s.tables, N ** (t - 1), t, s.n)
     win = (1 << total) - 1
     spread_cache: dict[tuple[int, int], int] = {}
     for i in range(t):
@@ -305,7 +280,7 @@ def r_v_distribution(family: WinningFamily, v: int) -> tuple[int, ...]:
     """Indices of the winning sets containing the point v."""
     if not 0 <= v < (1 << family.n):
         raise ValueError("point out of range")
-    return tuple(i for i in range(family.r) if (family.sets[i] >> v) & 1)
+    return tuple([i for i in range(family.r) if (family.sets[i] >> v) & 1])
 
 
 def check_positive_correlation(
@@ -314,8 +289,9 @@ def check_positive_correlation(
     """Exact Pr[i in R_v | J subseteq R_v] over uniform v, and a >= 1/2 flag.
 
     J empty gives the marginal.  Raises ValueError when the conditioning
-    event is empty.
+    event is empty or an index is not a winning set's.
     """
+    _check_guesses(family, [(*J, i)], len(J) + 1)
     inter = (1 << (1 << family.n)) - 1
     for j in J:
         inter &= family.sets[j]
@@ -342,8 +318,7 @@ def best_response(
     the least index.
     """
     N = 1 << family.n
-    if len(g2_table) != N:
-        raise ValueError("player-1 table must cover all of B")
+    _check_guesses(family, [g2_table], N)
     table0, count = _best_guesses(family, _others_correct(family, ((), g2_table), 0))
     return table0, Fraction(count, N * N)
 
@@ -441,7 +416,9 @@ def coordinate_ascent(
     The winning count of the last player's response is the value of the
     whole strategy after the sweep.
     """
-    total = (1 << family.n) ** t
+    N = 1 << family.n
+    _check_guesses(family, tables, N ** (t - 1), t, family.n)
+    total = N**t
     work = [tuple(tb) for tb in tables]
     history: list[Fraction] = []
     for _ in range(max_sweeps):

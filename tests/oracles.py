@@ -29,7 +29,6 @@ from hatlab.hat_game import (
     Strategy,
     WinningFamily,
     best_response,
-    view_index,
 )
 from hatlab.hitting_sets import (
     DEFAULT_HIT_BUDGET,
@@ -139,6 +138,16 @@ def balanced_up_closed_sets(n: int) -> set[int]:
     return {m for m in range(1 << (1 << n)) if m.bit_count() == half and up_closed(m)}
 
 
+def view_index(coords: Sequence[int], i: int, N: int) -> int:
+    """Flat index of player i's view of the full tuple: the other
+    coordinates in increasing player order, player 0's the major digit."""
+    idx = 0
+    for j, c in enumerate(coords):
+        if j != i:
+            idx = idx * N + c
+    return idx
+
+
 def simulate_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fraction]:
     """Per-tuple forward simulation of a strategy's winning set."""
     N = 1 << family.n
@@ -159,19 +168,15 @@ def simulate_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fraction
     return count, Fraction(count, total)
 
 
-def brute_best_response_table(
-    family: WinningFamily, tables: list[tuple[int, ...]], i: int
-) -> tuple[int, ...]:
-    """Player i's best response to the other tables, by simulating every tuple.
-
-    Per view, the mask over x_i of "every other player guesses correctly" is
-    built point by point; the guess covering most of it wins, least index on
-    ties.
-    """
+def brute_others_correct(
+    family: WinningFamily, tables: Sequence[Sequence[int]], i: int
+) -> list[int]:
+    """Per view of player i, the mask over x_i of "every other player guesses
+    correctly", built point by point by simulating every tuple."""
     N = 1 << family.n
     t = len(tables)
     sets = family.sets
-    new_table = []
+    masks = []
     for view in range(N ** (t - 1)):
         others = []
         f = view
@@ -188,7 +193,18 @@ def brute_best_response_table(
                 if j != i
             ):
                 ok_mask |= 1 << x_i
-        counts = [(s & ok_mask).bit_count() for s in sets]
+        masks.append(ok_mask)
+    return masks
+
+
+def brute_best_response_table(
+    family: WinningFamily, tables: list[tuple[int, ...]], i: int
+) -> tuple[int, ...]:
+    """Player i's best response to the other tables: per view, the guess
+    covering most of ``brute_others_correct``'s mask, least index on ties."""
+    new_table = []
+    for ok_mask in brute_others_correct(family, tables, i):
+        counts = [(s & ok_mask).bit_count() for s in family.sets]
         new_table.append(counts.index(max(counts)))
     return tuple(new_table)
 

@@ -29,6 +29,7 @@ from hatlab.rng import randrange
 from oracles import (
     balanced_up_closed_sets,
     brute_best_response_table,
+    brute_others_correct,
     brute_two_player_value,
     maximal_intersecting_families,
     reference_exact_value_two_players,
@@ -314,10 +315,13 @@ def test_nested_lower_bound_witness_consistent():
 
 
 def test_view_shapes_die_with_their_family():
-    # the per-(t, i) index work is kept with the family, not in a module cache
+    # the evaluator works out view positions per call and keeps no state: a
+    # family outlives no search with anything beyond its three fields, and
+    # nothing else holds on to it
     fam = winning_family("dictator", 2)
     first = nested_lower_bound(fam, 4, seed=1, restarts=1).value
     assert nested_lower_bound(fam, 4, seed=1, restarts=1).value == first
+    assert vars(fam).keys() == {"n", "kind", "sets"}
     dead = weakref.ref(fam)
     del fam
     gc.collect()
@@ -331,6 +335,21 @@ def test_coordinate_ascent_never_decreases():
     ]
     _, history = coordinate_ascent(fam, 3, tables)
     assert all(history[i] <= history[i + 1] for i in range(len(history) - 1))
+
+
+@pytest.mark.parametrize("t", (2, 3, 4, 5))
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("kind", KINDS)
+def test_others_correct_matches_per_tuple_oracle(kind, n, t):
+    # every player i, so other players sit on both sides of i and at both
+    # ends of i's view
+    fam = winning_family(kind, n)
+    views = (1 << n) ** (t - 1)
+    for seed in (53, 54):
+        tables = [tuple(randrange(fam.r, seed, t, i, v) for v in range(views)) for i in range(t)]
+        for i in range(t):
+            masks = hat_game._others_correct(fam, tables, i)
+            assert masks == brute_others_correct(fam, tables, i), (seed, i)
 
 
 @pytest.mark.parametrize(
@@ -366,6 +385,35 @@ def test_nested_lower_bound_needs_a_restart():
     for restarts in (0, -3):
         with pytest.raises(ValueError, match="restarts"):
             nested_lower_bound(winning_family("dictator", 1), 3, restarts=restarts)
+
+
+# -- malformed strategies -----------------------------------------------------
+
+# on a dictator family for n = 2 (r = 2, 4 views per player of two); before
+# the guesses were checked, most of these returned a value (a -1 read the
+# last set, a long or short table was sliced, a wrong n went unread) or
+# failed with a bare IndexError
+REFUSED = {
+    "best_response:guess-1": lambda fam: best_response(fam, [-1] * 4),
+    "best_response:guess2": lambda fam: best_response(fam, [0, 0, 2, 0]),
+    "best_response:3-guesses": lambda fam: best_response(fam, [0] * 3),
+    "winning_set:9-guesses": lambda fam: winning_set_of_strategy(fam, Strategy(2, 2, ((0,) * 4, (0,) * 9))),
+    "winning_set:3-guesses": lambda fam: winning_set_of_strategy(fam, Strategy(2, 2, ((0,) * 4, (0,) * 3))),
+    "winning_set:guess2": lambda fam: winning_set_of_strategy(fam, Strategy(2, 2, ((0,) * 4, (2,) * 4))),
+    "winning_set:n3": lambda fam: winning_set_of_strategy(fam, Strategy(2, 3, ((0,) * 4, (0,) * 4))),
+    "winning_set:2-tables-t3": lambda fam: winning_set_of_strategy(fam, Strategy(3, 2, ((0,) * 16,) * 2)),
+    "ascent:guess-1": lambda fam: coordinate_ascent(fam, 3, [[-1] * 16] * 3),
+    "ascent:15-guesses": lambda fam: coordinate_ascent(fam, 3, [[0] * 15] * 3),
+    "ascent:2-tables": lambda fam: coordinate_ascent(fam, 3, [[0] * 16] * 2),
+    "correlation:J-1": lambda fam: check_positive_correlation(fam, (-1,), 0),
+    "correlation:i2": lambda fam: check_positive_correlation(fam, (0,), 2),
+}
+
+
+@pytest.mark.parametrize("call", list(REFUSED.values()), ids=list(REFUSED))
+def test_malformed_strategies_are_refused(call):
+    with pytest.raises(ValueError):
+        call(winning_family("dictator", 2))
 
 
 # -- induced index sets and correlation ---------------------------------------
