@@ -13,6 +13,10 @@ Below the root a node records only the color classes that can branch
 (k_min, as in MCS and BBMC), which leaves the search tree unchanged.
 The maximum search first takes what the degree <= 1 rules settle, then
 searches the components of the rest in turn (Akiba & Iwata 2016; KaMIS).
+
+The searches read the rows relabelled v -> 8k - 1 - v (k = ceil(n / 8)),
+where one ``bit_length`` finds the lowest vertex left; masks are flipped in
+and out, so trees, node counts and witnesses are those of the original labels.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .bits import iter_bits
@@ -126,6 +130,14 @@ class Graph:
         return ((1 << self.n) - 1) & ~self.loops_mask
 
     @cached_property
+    def _flipped(self) -> tuple[int, ...]:
+        """The rows relabelled v -> 8k - 1 - v (see ``_flip``), padded to 8k
+        with empty rows.  Built from a list: tuples grown from a generator are
+        resized, and once released they pile up on the tuple free list."""
+        k = (self.n + 7) // 8
+        return tuple([0] * (8 * k - self.n) + [_flip(row, k) for row in reversed(self.adj)])
+
+    @cached_property
     def _subset_alphas(self) -> tuple[int, ...]:
         """``subset_alpha_table`` of the graph, built on first use and kept
         with it, so it lives exactly as long as the graph does."""
@@ -171,10 +183,28 @@ def graph_fingerprint(G: Graph) -> str:
 # Exact solvers.  Maximum independent sets in G are maximum cliques in the
 # complement, searched by branch and bound with a greedy-coloring upper
 # bound on the candidate set (the standard exact approach at this scale).
+# Below the public functions every mask and row is in flipped labels.
 # ---------------------------------------------------------------------------
 
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-def _color_bound(P: int, adj: Sequence[int], kmin: int) -> tuple[list[int], list[int]]:
+
+def _flip(mask: int, k: int) -> int:
+    """Relabel a mask below 8k as v -> 8k - 1 - v, an involution: each
+    little-endian byte is bit-reversed and the bytes are read big-endian."""
+    return int.from_bytes(mask.to_bytes(k, "little").translate(_REVERSED_BYTES), "big")
+
+
+@lru_cache(maxsize=1)
+def _bit_table(size: int) -> tuple[int, ...]:
+    """``1 << v`` for v < size, so the search takes a vertex's bit without
+    building it; one table is kept, for the last size searched."""
+    return tuple([1 << v for v in range(size)])
+
+
+def _color_bound(
+    P: int, adj: Sequence[int], bits: Sequence[int], kmin: int
+) -> tuple[list[int], list[int]]:
     """Greedy coloring of P in the complement view, recorded from class ``kmin`` on.
 
     Returns the vertices of classes ``kmin`` and up, ordered by color class,
@@ -182,8 +212,10 @@ def _color_bound(P: int, adj: Sequence[int], kmin: int) -> tuple[list[int], list
     class, so the class number of a vertex bounds any clique inside the
     vertices ordered up to it.  The classes below ``kmin`` are built the same
     way, as the higher ones depend on them, but not recorded.  A class takes
-    the lowest vertex v left and keeps the candidates ``q & adj[v]``: P holds
-    no self-looped vertex, so that drops v and its complement neighbours.
+    the lowest vertex v left (the highest flipped bit) and keeps the
+    candidates ``q & adj[v]``: P holds no self-looped vertex, so that drops v
+    and its complement neighbours.  A vertex is recorded as its entry of
+    ``bits`` (``_bit_table(len(adj))``), shared, so no label int is kept.
     """
     order: list[int] = []
     bound: list[int] = []
@@ -194,16 +226,16 @@ def _color_bound(P: int, adj: Sequence[int], kmin: int) -> tuple[list[int], list
         q = rest
         if color < kmin:
             while q:
-                bit = q & -q
-                rest ^= bit
-                q &= adj[bit.bit_length() - 1]
+                v = q.bit_length() - 1
+                rest ^= bits[v]
+                q &= adj[v]
             continue
         while q:
-            bit = q & -q
-            v = bit.bit_length() - 1
+            v = q.bit_length() - 1
+            bit = bits[v]
             rest ^= bit
             q &= adj[v]
-            order.append(v)
+            order.append(bit)
             bound.append(color)
     return order, bound
 
@@ -213,8 +245,9 @@ def _reduce(adj: Sequence[int], P: int) -> tuple[int, list[int]]:
 
     One scan takes the isolated vertices and notes those of degree 1.  Such a
     v lies in a maximum set (swap its neighbour u for v): v is taken, u
-    dropped and u's neighbours checked again, to a fixpoint.  The rest comes
-    back as its components, by ascending (size, lowest vertex).
+    dropped and u's neighbours checked again, to a fixpoint, lowest vertex
+    (highest flipped bit) first.  The rest comes back as its components, by
+    ascending (size, lowest vertex).
     """
     taken, check, rest = 0, 0, P
     while rest:
@@ -227,9 +260,10 @@ def _reduce(adj: Sequence[int], P: int) -> tuple[int, list[int]]:
             check |= bit
     P ^= taken
     while check:
-        bit = check & -check
+        v = check.bit_length() - 1
+        bit = 1 << v
         check ^= bit
-        nb = P & adj[bit.bit_length() - 1]
+        nb = P & adj[v]
         if bit & P and not nb & (nb - 1):
             taken |= bit
             P ^= bit | nb
@@ -247,7 +281,7 @@ def _reduce(adj: Sequence[int], P: int) -> tuple[int, list[int]]:
             grow |= new
         parts.append(P ^ left)
         P = left
-    parts.sort(key=lambda part: (part.bit_count(), part & -part))
+    parts.sort(key=lambda part: (part.bit_count(), -part.bit_length()))
     return taken, parts
 
 
@@ -268,8 +302,9 @@ def _search(
     ends so.  Exhaustion certifies alpha in [best, the size before the part
     + the root color counts of it and of the parts after it].
 
-    ``adj`` are the graph's own rows.  The parts hold no self-looped vertex,
-    so branching on v keeps its complement neighbours ``(local ^ bit) & ~adj[v]``.
+    ``adj`` are the graph's flipped rows, and a color order holds vertex bits.
+    The parts hold no self-looped vertex, so branching on v keeps its
+    complement neighbours ``(local ^ bit) & ~adj[v]``.
     Each root is colored in full, so ``upper`` is certified; a child records
     only its classes from ``need - r_size - 1`` on and is not pushed without
     one.  ``need`` never falls, so nothing left out could be branched on:
@@ -278,7 +313,8 @@ def _search(
     found, best = [taken], taken.bit_count()
     need = best + 1
     nodes = 0
-    roots = [_color_bound(part, adj, 0) for part in parts]
+    bits = _bit_table(len(adj)) if parts else ()
+    roots = [_color_bound(part, adj, bits, 0) for part in parts]
     later = sum(bound[-1] for _, bound in roots)
     for part, (order, bound) in zip(parts, roots):
         later -= bound[-1]
@@ -297,12 +333,12 @@ def _search(
                     f"independent-set search exceeded {budget} nodes; alpha in [{best}, {upper}]",
                     lower_bound=best, upper_bound=upper, nodes=nodes,
                 )
-            v = order[i]
-            bit = 1 << v
+            bit = order[i]
+            v = bit.bit_length() - 1
             frame[2], frame[5] = local ^ bit, i
             child = (local ^ bit) & ~adj[v]
             if child:
-                c_order, c_bound = _color_bound(child, adj, need - r_size - 1)
+                c_order, c_bound = _color_bound(child, adj, bits, need - r_size - 1)
                 if c_order:
                     stack.append([r_mask | bit, r_size + 1, child, c_order, c_bound, len(c_order)])
             elif r_size + 1 >= need:
@@ -322,7 +358,9 @@ def max_independent_set(G: Graph, budget: int = DEFAULT_NODE_BUDGET) -> MISResul
     reduction and branching order.  Raises :class:`BudgetExceededError`
     carrying the best lower/upper bounds when the node budget runs out.
     """
-    best = _search(G.adj, *_reduce(G.adj, G._allowed), budget)[-1]
+    rows = G._flipped
+    k = len(rows) // 8
+    best = _flip(_search(rows, *_reduce(rows, _flip(G._allowed, k)), budget)[-1], k)
     alpha = best.bit_count()
     return MISResult(alpha, VertexSet(G.n, best), Fraction(alpha, G.n or 1))
 
@@ -338,10 +376,19 @@ def enumerate_maximum_independent_sets(
     bound].  Raises :class:`CapExceededError` (with ``found == cap + 1``)
     only when more than ``cap`` sets of size alpha exist.
     """
-    P = G._allowed
-    iso = sum(1 << v for v in iter_bits(P) if not P & G.adj[v])
+    rows = G._flipped
+    k = len(rows) // 8
+    P = _flip(G._allowed, k)
+    iso, left = 0, P
+    while left:
+        v = left.bit_length() - 1
+        bit = 1 << v
+        left ^= bit
+        if not P & rows[v]:
+            iso |= bit
     rest = [P ^ iso] if P ^ iso else []
-    return [VertexSet(G.n, m) for m in sorted(_search(G.adj, iso, rest, budget, True, cap))]
+    found = _search(rows, iso, rest, budget, True, cap)
+    return [VertexSet(G.n, m) for m in sorted(_flip(m, k) for m in found)]
 
 
 def enumerate_maximal_independent_sets(
@@ -413,7 +460,9 @@ def subset_alpha(G: Graph, W: int) -> int:
     """
     if W < 0 or W >> G.n:
         raise ValueError("vertex mask out of range for the graph")
-    return _search(G.adj, *_reduce(G.adj, G._allowed & W), DEFAULT_NODE_BUDGET)[-1].bit_count()
+    rows = G._flipped
+    P = _flip(G._allowed & W, len(rows) // 8)
+    return _search(rows, *_reduce(rows, P), DEFAULT_NODE_BUDGET)[-1].bit_count()
 
 
 def subset_alpha_table(G: Graph) -> list[int]:

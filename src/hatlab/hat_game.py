@@ -416,6 +416,8 @@ def coordinate_ascent(
     The winning count of the last player's response is the value of the
     whole strategy after the sweep.
     """
+    if t < 1:
+        raise ValueError(f"coordinate ascent needs t >= 1 players; got {t}")
     N = 1 << family.n
     _check_guesses(family, tables, N ** (t - 1), t, family.n)
     total = N**t

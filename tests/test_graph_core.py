@@ -9,7 +9,9 @@ from hatlab.graph_core import (
     DEFAULT_NODE_BUDGET,
     Graph,
     VertexSet,
+    _bit_table,
     _color_bound,
+    _flip,
     enumerate_maximal_independent_sets,
     enumerate_maximum_independent_sets,
     induced_subgraph,
@@ -20,7 +22,13 @@ from hatlab.graph_core import (
     subset_alpha_table,
     write_graph_text,
 )
-from hatlab.constructions import cayley_distance_graph, hamming_power, kneser_hypercube, random_gnp
+from hatlab.constructions import (
+    cayley_distance_graph,
+    hamming_power,
+    kneser_hypercube,
+    random_gnp,
+    shift_graph,
+)
 from hatlab.random_subgraphs import hajnal_check
 from hatlab.rng import chance, randrange, u64
 
@@ -147,6 +155,31 @@ def test_witnesses_pinned_on_frontier_graphs():
         assert (res.alpha, res.witness.bits) == (alpha, bits)
 
 
+# The least node budget that finishes each search, and the interval that one
+# node fewer certifies: any change to the tree (vertex order, bound,
+# tie-break) moves them.
+LEAST_BUDGETS = {
+    "K(3)^2": (lambda: hamming_power(kneser_hypercube(3), 2), (64, 22, 25), (7_260, 22, 27)),
+    "cayley:6,1": (lambda: cayley_distance_graph(6, 1), (5_222, 22, 32), (11_201, 22, 32)),
+    "gnp:100,0.2,201": (lambda: random_gnp(100, 0.2, seed=201), (20_276, 19, 36), (49_937, 19, 36)),
+    "shift:4": (lambda: shift_graph(4), (792, 16, 28), (2_540, 16, 28)),
+}
+
+
+@pytest.mark.parametrize("name", list(LEAST_BUDGETS))
+def test_least_finishing_budgets_pinned(name):
+    build, *pins = LEAST_BUDGETS[name]
+    G = build()
+    for search, (budget, lower, upper) in zip(
+        (max_independent_set, enumerate_maximum_independent_sets), pins
+    ):
+        search(G, budget=budget)
+        with pytest.raises(BudgetExceededError) as exc:
+            search(G, budget=budget - 1)
+        e = exc.value
+        assert (e.lower_bound, e.upper_bound, e.nodes) == (lower, upper, budget), search
+
+
 def test_budgeted_intervals_pinned():
     for G, budget, interval in (
         (hamming_power(kneser_hypercube(4), 2), 100_000, (86, 103, 100_001)),
@@ -187,6 +220,30 @@ def test_edgeless_4096_takes_one_node():
     assert max_independent_set(make_graph(4096, []), budget=1).alpha == 4096
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 4096])
+def test_flip_reverses_the_bits_below_a_whole_byte(n):
+    k = (n + 7) // 8
+    full = (1 << n) - 1
+    for mask in (0, full, 1, 1 << n - 1, full // 3, full // 5, u64(39, n) & full):
+        flipped = _flip(mask, k)
+        assert flipped == int(format(mask, f"0{8 * k}b")[::-1], 2), mask
+        assert _flip(flipped, k) == mask
+    assert _flip(full, k) == full << 8 * k - n
+
+
+def test_bit_table_holds_one_size_and_only_for_a_search():
+    _bit_table.cache_clear()
+    edgeless = make_graph(100, [])
+    max_independent_set(edgeless)
+    enumerate_maximum_independent_sets(edgeless)
+    subset_alpha(edgeless, 12345)
+    assert _bit_table.cache_info().currsize == 0  # the reduction left nothing to branch on
+    max_independent_set(C5)
+    enumerate_maximum_independent_sets(random_gnp(20, 0.5, 1))
+    info = _bit_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+
+
 def _differential_graph(g):
     """Seeded random graph: sparse ones have isolated vertices, some have loops."""
     n = 1 + randrange(22, 31, g)
@@ -195,6 +252,22 @@ def _differential_graph(g):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if chance(p, 32, g, u, v)]
     edges += [(v, v) for v in range(n) if chance(loop_rate, 33, g, v)]
     return make_graph(n, edges)
+
+
+def _flipped_search(G, P, budget):
+    """``_search`` on P as its one part with nothing taken, run on G's
+    relabelled rows; the last mask comes back in G's labels."""
+    rows = G._flipped
+    k = len(rows) // 8
+    return _flip(graph_core._search(rows, 0, [_flip(P, k)], budget)[-1], k)
+
+
+def _reduced(G, P):
+    """``_reduce`` of P on G's relabelled rows, in G's labels."""
+    rows = G._flipped
+    k = len(rows) // 8
+    taken, parts = graph_core._reduce(rows, _flip(P, k))
+    return _flip(taken, k), [_flip(part, k) for part in parts]
 
 
 def _search_outcome(search):
@@ -215,10 +288,10 @@ def test_search_matches_reference_search():
         if not allowed:
             continue
         witness = reference_search(rows, allowed, huge)[-1]
-        assert graph_core._search(G.adj, 0, [allowed], huge)[-1] == witness
+        assert _flipped_search(G, allowed, huge) == witness
         for budget in (1, 3, 10, 40):
             ref = _search_outcome(lambda: reference_search(rows, allowed, budget)[-1])
-            got = _search_outcome(lambda: graph_core._search(G.adj, 0, [allowed], budget)[-1])
+            got = _search_outcome(lambda: _flipped_search(G, allowed, budget))
             assert got == ref, (g, budget)
             budgeted += isinstance(got, tuple)
         maxima = sorted(reference_search(rows, allowed, huge, witness.bit_count()))
@@ -244,7 +317,7 @@ def test_reduced_searches_are_exact_or_certified(monkeypatch):
     for g in range(1200):
         G = _differential_graph(g)
         rows, allowed = complement_rows(G)
-        taken, parts = graph_core._reduce(G.adj, allowed)
+        taken, parts = _reduced(G, allowed)
         reduced += taken != 0 or len(parts) > 1
         masks = [u64(34, g, j) & ((1 << G.n) - 1) for j in range(3)]
         alphas = [reference_search(rows, allowed & W, huge)[-1].bit_count() if allowed & W else 0
@@ -284,19 +357,30 @@ def test_components_share_one_budget_and_sum_their_bounds():
     # 12 and 14, then C5 (root bound 3) is searched before C7 (root bound 4)
     edges = [(i, (i + 1) % 7) for i in range(7)] + [(7 + i, 7 + (i + 1) % 5) for i in range(5)]
     G = make_graph(15, edges + [(12, 13)])
-    assert graph_core._reduce(G.adj, G._allowed) == (1 << 12 | 1 << 14, [0b111110000000, 0b1111111])
+    assert _reduced(G, G._allowed) == (1 << 12 | 1 << 14, [0b111110000000, 0b1111111])
     for budget, interval in ((1, (2, 9, 2)), (2, (4, 8, 3)), (4, (4, 8, 5))):
         with pytest.raises(BudgetExceededError) as exc:
             max_independent_set(G, budget=budget)
         assert (exc.value.lower_bound, exc.value.upper_bound, exc.value.nodes) == interval
     assert max_independent_set(G, budget=5).alpha == 7
+    # equal sizes go lowest vertex first: C5 (root bound 3) before K5 (1),
+    # or K5 before C5, and the interval shows which was searched first
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    for low, high, intervals in ((c5, k5, ((0, 4, 2), (2, 3, 3))), (k5, c5, ((1, 4, 2), (1, 4, 3)))):
+        G = make_graph(10, low + [(5 + u, 5 + v) for u, v in high])
+        for budget, interval in zip((1, 2), intervals):
+            with pytest.raises(BudgetExceededError) as exc:
+                max_independent_set(G, budget=budget)
+            assert (exc.value.lower_bound, exc.value.upper_bound, exc.value.nodes) == interval
+        assert max_independent_set(G, budget=3).alpha == 3
 
 
 def test_degree_one_rule_closes_sparse_gnp():
     # 214 edges: the rules leave one 33-vertex component, which 18 nodes
     # close (the plain search took 52.6 s); 17 leave an interval
     G = random_gnp(200, 0.01, 4)
-    taken, parts = graph_core._reduce(G.adj, G._allowed)
+    taken, parts = _reduced(G, G._allowed)
     assert (taken.bit_count(), [part.bit_count() for part in parts]) == (100, [33])
     res = max_independent_set(G, budget=18)
     assert res.alpha == 117 and is_independent(G, res.witness.bits)
@@ -305,7 +389,8 @@ def test_degree_one_rule_closes_sparse_gnp():
 
 
 def test_truncated_coloring_is_the_top_of_the_full_coloring():
-    # classes below kmin are built but not recorded; the rest match the full coloring
+    # classes below kmin are built but not recorded; the rest match the full
+    # coloring, once the relabelled vertex bits are mapped back
     for g in range(200):
         G = _differential_graph(g)
         rows, allowed = complement_rows(G)
@@ -313,10 +398,13 @@ def test_truncated_coloring_is_the_top_of_the_full_coloring():
         if not P:
             continue
         order, bound = reference_color_bound(P, rows)
+        flipped = G._flipped
+        k = len(flipped) // 8
         for kmin in range(bound[-1] + 2):
             top = [i for i, b in enumerate(bound) if b >= kmin]
-            expected = ([order[i] for i in top], [bound[i] for i in top])
-            assert _color_bound(P, G.adj, kmin) == expected, (g, kmin)
+            expected = ([1 << order[i] for i in top], [bound[i] for i in top])
+            f_order, f_bound = _color_bound(_flip(P, k), flipped, _bit_table(8 * k), kmin)
+            assert ([_flip(bit, k) for bit in f_order], f_bound) == expected, (g, kmin)
 
 
 def test_hamming_products_match_reference_search():
@@ -330,14 +418,14 @@ def test_hamming_products_match_reference_search():
         (hamming_power(k3, 3), [36, 36, 36, 216], 55, 192, 500, (133, 145, 693)),
     ):
         rows, allowed = complement_rows(G)
-        taken, parts = graph_core._reduce(G.adj, allowed)
+        taken, parts = _reduced(G, allowed)
         assert [part.bit_count() for part in parts] == sizes
         lower, upper, nodes = _search_outcome(lambda: reference_search(rows, parts[-1], budget)[-1])
         got = _search_outcome(lambda: max_independent_set(G, budget=used + budget))
         assert got == (before + lower, before + upper, used + nodes) == interval
     # K(6) is settled by the rules alone: no part is left to search
     G = kneser_hypercube(6)
-    taken, parts = graph_core._reduce(G.adj, G._allowed)
+    taken, parts = _reduced(G, G._allowed)
     assert parts == [] and taken == max_independent_set(G, budget=1).witness.bits
     assert taken.bit_count() == 32 and is_independent(G, taken)
 

@@ -392,7 +392,8 @@ def test_nested_lower_bound_needs_a_restart():
 # on a dictator family for n = 2 (r = 2, 4 views per player of two); before
 # the guesses were checked, most of these returned a value (a -1 read the
 # last set, a long or short table was sliced, a wrong n went unread) or
-# failed with a bare IndexError
+# failed with a bare IndexError; ascent with no players failed with an
+# UnboundLocalError
 REFUSED = {
     "best_response:guess-1": lambda fam: best_response(fam, [-1] * 4),
     "best_response:guess2": lambda fam: best_response(fam, [0, 0, 2, 0]),
@@ -405,6 +406,8 @@ REFUSED = {
     "ascent:guess-1": lambda fam: coordinate_ascent(fam, 3, [[-1] * 16] * 3),
     "ascent:15-guesses": lambda fam: coordinate_ascent(fam, 3, [[0] * 15] * 3),
     "ascent:2-tables": lambda fam: coordinate_ascent(fam, 3, [[0] * 16] * 2),
+    "ascent:no-players": lambda fam: coordinate_ascent(fam, 0, []),
+    "ascent:t-1": lambda fam: coordinate_ascent(fam, -1, [[0]]),
     "correlation:J-1": lambda fam: check_positive_correlation(fam, (-1,), 0),
     "correlation:i2": lambda fam: check_positive_correlation(fam, (0,), 2),
 }
