@@ -48,7 +48,7 @@ for n in (4, 5):
     tuples = build_ell_tuples(n, 2, seed=11, target_measure=target)
     fam = lift_blockers(base, tuples)
     wf = winning_family("dictator", n)
-    verdicts = [verify_blocker(n, 2, b, wf).is_blocker for b in fam.blockers]
+    verdicts = [verify_blocker(b, wf).is_blocker for b in fam.blockers]
     print(f"  n={n}: {len(fam.blockers)} blockers of size {fam.k}, union measure "
           f"{fam.union_measure}, all verified: {all(verdicts)}")
 
@@ -63,7 +63,7 @@ print("=" * 72)
 print("What a failed candidate looks like")
 print("=" * 72)
 wf = winning_family("dictator", 4)
-res = verify_blocker(4, 2, [(0b0001, 0b0110), (0b1110, 0b0110)], wf)
+res = verify_blocker([(0b0001, 0b0110), (0b1110, 0b0110)], wf)
 print(f"  two arbitrary tuples: is_blocker = {res.is_blocker}")
 print(f"  avoiding partial strategy found in {res.nodes} assignments:")
 for player, table in res.counterexample.items():

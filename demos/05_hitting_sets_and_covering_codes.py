@@ -61,7 +61,7 @@ print("Greedy vs exact, and the threshold variant")
 print("=" * 72)
 c5 = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
 sets = enumerate_maximum_independent_sets(c5)
-print(f"  5-cycle: greedy hits with {len(greedy_hitting(sets, 5))}, exact h = "
+print(f"  5-cycle: greedy hits with {len(greedy_hitting(sets))}, exact h = "
       f"{h_of_graph(c5).h}")
 star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
 plain = h_of_graph(star)

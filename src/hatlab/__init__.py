@@ -52,7 +52,6 @@ from .graph_core import (
 )
 from .hat_game import (
     GameValue,
-    Strategy,
     WinningFamily,
     best_response,
     check_positive_correlation,

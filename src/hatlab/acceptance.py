@@ -33,7 +33,7 @@ from .graph_core import (
     make_graph,
     max_independent_set,
 )
-from .hat_game import Strategy, exact_value_two_players, winning_family, winning_set_of_strategy
+from .hat_game import exact_value_two_players, winning_family, winning_set_of_strategy
 from .hitting_sets import covering_code_check, h_of_graph
 from .random_subgraphs import (
     alpha_star_star_exact,
@@ -108,7 +108,7 @@ def _certify_level2(n: int, seeds: tuple[int, ...]) -> tuple[int, bool]:
         )
         for b in lifted.blockers:
             count += 1
-            ok &= verify_blocker(n, 2, b, fam).is_blocker
+            ok &= verify_blocker(b, fam).is_blocker
     return count, ok
 
 
@@ -212,11 +212,7 @@ def _brute_force_blocker_oracle(n: int) -> list[int]:
     """Winning sets (as masks over B^2, flat x0*N+x1) of all two-player dictator strategies."""
     fam = winning_family("dictator", n)
     tables = list(iter_product(range(fam.r), repeat=1 << n))
-    return [
-        winning_set_of_strategy(fam, Strategy(2, n, (t0_tbl, t1_tbl)))[0]
-        for t0_tbl in tables
-        for t1_tbl in tables
-    ]
+    return [winning_set_of_strategy(fam, (t0, t1))[0] for t0 in tables for t1 in tables]
 
 
 @_criterion("blocker_certification", limit=600.0)
@@ -247,7 +243,7 @@ def check_6_blocker_certification(quick: bool) -> tuple[bool, str]:
                 chosen.append(pick)
         amask = sum(1 << p for p in chosen)
         tuples = [(p // 4, p % 4) for p in chosen]
-        verdict = verify_blocker(2, 2, tuples, fam).is_blocker
+        verdict = verify_blocker(tuples, fam).is_blocker
         brute = all(w & amask for w in oracle_sets)
         agree += verdict == brute
     passed &= agree == candidates

@@ -207,13 +207,10 @@ class VerifyResult:
 
 
 def verify_blocker(
-    n: int,
-    t: int,
-    A: Iterable[PointTuple],
-    family: WinningFamily,
-    budget: int = DEFAULT_VERIFY_BUDGET,
+    A: Iterable[PointTuple], family: WinningFamily, budget: int = DEFAULT_VERIFY_BUDGET
 ) -> VerifyResult:
-    """Decide whether A intersects every winning set of the t-player game.
+    """Decide whether A, a set of t-tuples of the family's words, meets every
+    winning set of the t-player game.
 
     A winning set avoiding A exists iff guesses can be chosen on the views
     that A projects to (per player) so that every tuple of A fails for at
@@ -232,17 +229,16 @@ def verify_blocker(
     verdict is then unknown, never silently passed.
     """
     tuples = sorted(set(tuple(a) for a in A))
+    if not tuples:
+        raise ValueError("empty candidate set")
+    t = len(tuples[0])
     if t < 2:
         raise ValueError("verify_blocker handles t >= 2")
-    if family.n != n:
-        raise ValueError("family point space does not match n")
     for a in tuples:
         if len(a) != t:
             raise ValueError(f"tuple {a} does not have arity {t}")
-        if any(not 0 <= x < (1 << n) for x in a):
-            raise ValueError(f"tuple {a} has points outside {n}-bit space")
-    if not tuples:
-        raise ValueError("empty candidate set")
+        if any(not 0 <= x < (1 << family.n) for x in a):
+            raise ValueError(f"tuple {a} has points outside {family.n}-bit space")
 
     views_per_player = [sorted({a[:i] + a[i + 1 :] for a in tuples}) for i in range(t)]
     # assign players with fewer views first so contradictions surface early

@@ -262,7 +262,7 @@ def cmd_hatgame(args, em: Emitter) -> None:
         "value": frac_str(gv.value),
         "mode": gv.mode,
         "num_sets": fam.r,
-        "witness_tables": [list(tb) for tb in gv.witness.tables],
+        "witness_tables": [list(tb) for tb in gv.witness],
     })
 
 
@@ -283,10 +283,7 @@ def cmd_blockers_build(args, em: Emitter) -> None:
     values = {"family": family_to_json(fam), "num_tuples": len(tuples.tuples)}
     if args.verify:
         wf = winning_family("dictator", args.bits)
-        verdicts = [
-            verify_blocker(args.bits, 2, b, wf, **given(args, "budget")).is_blocker
-            for b in fam.blockers
-        ]
+        verdicts = [verify_blocker(b, wf, **given(args, "budget")).is_blocker for b in fam.blockers]
         values["verified"] = all(verdicts)
         values["verdicts"] = verdicts
     em.emit(values)
@@ -305,7 +302,7 @@ def cmd_blockers_verify(args, em: Emitter) -> None:
         n, t, tuples = tuples_from_json(cand)
         if wf is None or wf.n != n:
             wf = winning_family(args.kind, n)
-        res = verify_blocker(n, t, tuples, wf, **given(args, "budget"))
+        res = verify_blocker(tuples, wf, **given(args, "budget"))
         results.append(
             {
                 "n": n,
@@ -573,11 +570,11 @@ def run(argv: Sequence[str], capture: bool = False) -> tuple[int, list[dict]]:
     em = Emitter(args, argv)
     try:
         status = args.handler(args, em) or 0
+        if not capture:
+            em.flush()
     except (BudgetExceededError, CapExceededError, RetryLimitError, ValueError, OSError) as exc:
         print(f"hatlab: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1, em.records
-    if not capture:
-        em.flush()
     return status, em.records
 
 

@@ -12,6 +12,8 @@ Conventions:
   ``sum(x_j * N**(t-1-j))`` with N = 2^n (player 0 is the major digit).
 * Player i's view of x is the (t-1)-tuple with coordinate i deleted,
   flattened the same way over the remaining players in increasing order.
+* A strategy of t players is their t guess tables: ``tables[i][view]`` is
+  the winning-set index player i names on that flat view.
 * All exact values are Fractions with power-of-two denominators; no floats
   on exact paths.
 
@@ -67,22 +69,13 @@ class WinningFamily:
 
 
 @dataclass(frozen=True)
-class Strategy:
-    """Per-player guess tables; tables[i][flat view] is a winning-set index."""
-
-    t: int
-    n: int
-    tables: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class GameValue:
     t: int
     n: int
     kind: str
     value: Fraction
     mode: str  # "exact" | "lower_bound"
-    witness: Strategy
+    witness: tuple[tuple[int, ...], ...]  # the strategy's t guess tables
 
 
 def _dictator_sets(n: int) -> tuple[int, ...]:
@@ -146,8 +139,8 @@ def winning_family(kind: str, n: int) -> WinningFamily:
             raise SizeLimitError(f"intersecting families enumerable only for n <= {INTERSECTING_MAX_N}")
         fams = enumerate_maximal_independent_sets(kneser_hypercube(n))
         sets = tuple(sorted(vs.bits for vs in fams))
-        half = 1 << (n - 1)
-        assert all(s.bit_count() == half for s in sets)
+        if any(s.bit_count() != 1 << (n - 1) for s in sets):
+            raise RuntimeError(f"an intersecting family for n = {n} is not of half size")
         return WinningFamily(n, kind, sets)
     if kind == "monotone":
         if n > MONOTONE_MAX_N:
@@ -223,21 +216,20 @@ def _guard_tuples(N: int, t: int) -> int:
     return total
 
 
-def _check_guesses(
-    family: WinningFamily, tables: Sequence[Sequence[int]], views: int, t: int = 0, n: int = 0
-) -> None:
-    """Raise ValueError unless each of ``tables`` holds ``views`` winning-set
-    indices of the family and, when t is given, there are t tables and n is
-    the family's."""
-    if t and (len(tables), n) != (t, family.n):
-        raise ValueError(f"need {t} tables for n = {family.n}; got {len(tables)} for n = {n}")
+def _check_guesses(family: WinningFamily, tables: Sequence[Sequence[int]], views: int) -> None:
+    """Raise ValueError unless there is a table and each of ``tables`` holds
+    ``views`` winning-set indices of the family."""
+    if not tables:
+        raise ValueError("need at least one table")
     indices = set(range(family.r))
     for table in tables:
         if len(table) != views or not indices.issuperset(table):
             raise ValueError(f"need tables of {views} winning-set indices in range({family.r})")
 
 
-def winning_set_of_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fraction]:
+def winning_set_of_strategy(
+    family: WinningFamily, tables: Sequence[Sequence[int]]
+) -> tuple[int, Fraction]:
     """Exact winning set of a strategy as a bit mask over B^t, plus its measure.
 
     Per player, bits are placed view-by-view using a cached spread of each
@@ -245,16 +237,15 @@ def winning_set_of_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fr
     the winning set.
     """
     N = 1 << family.n
-    t = s.t
+    t = len(tables)
     total = _guard_tuples(N, t)
-    _check_guesses(family, s.tables, N ** (t - 1), t, s.n)
+    _check_guesses(family, tables, N ** (t - 1))
     win = (1 << total) - 1
     spread_cache: dict[tuple[int, int], int] = {}
-    for i in range(t):
+    for i, table in enumerate(tables):
         stride = N ** (t - 1 - i)
         correct = 0
         hi_block = N ** (t - i)
-        table = s.tables[i]
         for view in range(N ** (t - 1)):
             hi, lo = divmod(view, stride)
             g = table[view]
@@ -272,8 +263,7 @@ def exact_value_one_player(family: WinningFamily) -> GameValue:
     """Best single-player value: the largest set measure, lowest index on ties."""
     best = max(range(family.r), key=lambda i: (family.sets[i].bit_count(), -i))
     value = family.measure(best)
-    witness = Strategy(1, family.n, ((best,),))
-    return GameValue(1, family.n, family.kind, value, "exact", witness)
+    return GameValue(1, family.n, family.kind, value, "exact", ((best,),))
 
 
 def r_v_distribution(family: WinningFamily, v: int) -> tuple[int, ...]:
@@ -396,9 +386,8 @@ def exact_value_two_players(
     table0, value = best_response(family, g2)
     if value != Fraction(count, N * N):
         raise RuntimeError(f"packed count {count}/{N * N} disagrees with best_response's {value}")
-    witness = Strategy(2, family.n, (table0, g2))
     mode = "exact" if family.r**N <= budget else "lower_bound"
-    return GameValue(2, family.n, family.kind, value, mode, witness)
+    return GameValue(2, family.n, family.kind, value, mode, (table0, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +396,18 @@ def exact_value_two_players(
 
 
 def coordinate_ascent(
-    family: WinningFamily, t: int, tables: Sequence[Sequence[int]], max_sweeps: int = 64
-) -> tuple[Strategy, list[Fraction]]:
+    family: WinningFamily, tables: Sequence[Sequence[int]], max_sweeps: int = 64
+) -> tuple[tuple[tuple[int, ...], ...], list[Fraction]]:
     """Repeatedly replace one player's table by its exact best response.
 
-    Returns the final strategy and the value after each sweep; the history
+    Returns the final tables and the value after each sweep; the history
     is non-decreasing because each replacement is an exact best response.
     The winning count of the last player's response is the value of the
     whole strategy after the sweep.
     """
-    if t < 1:
-        raise ValueError(f"coordinate ascent needs t >= 1 players; got {t}")
     N = 1 << family.n
-    _check_guesses(family, tables, N ** (t - 1), t, family.n)
+    t = len(tables)
+    _check_guesses(family, tables, N ** (t - 1))
     total = N**t
     work = [tuple(tb) for tb in tables]
     history: list[Fraction] = []
@@ -433,20 +421,19 @@ def coordinate_ascent(
         history.append(Fraction(count, total))
         if not changed:
             break
-    return Strategy(t, family.n, tuple(work)), history
+    return tuple(work), history
 
 
-def _lift_strategy(strat: Strategy, N: int) -> list[list[int]]:
-    """Embed a (t-1)-player strategy into the t-player game.
+def _lift_strategy(strat: Sequence[Sequence[int]], N: int) -> list[list[int]]:
+    """Embed the tables of a (t-1)-player strategy into the t-player game.
 
     Splitting B^t as B^(t-1) x B: the first t-1 players ignore the new last
     coordinate (the least significant view digit) and play as before; the
     new player starts on guess 0 and picks up her exact best response in
     the first ascent sweep.
     """
-    t = strat.t + 1
-    views = N ** (t - 1)
-    tables = [[tb[view // N] for view in range(views)] for tb in strat.tables]
+    views = N ** len(strat)
+    tables = [[tb[view // N] for view in range(views)] for tb in strat]
     tables.append([0] * views)
     return tables
 
@@ -483,7 +470,7 @@ def nested_lower_bound(
             starts.append([[randrange(r, seed, j, i, v) for v in range(views)] for i in range(k)])
         best_val = Fraction(-1)
         for tables in starts:
-            strat, history = coordinate_ascent(family, k, tables)
+            strat, history = coordinate_ascent(family, tables)
             if history[-1] > best_val:
                 best_val = history[-1]
                 best_strat = strat

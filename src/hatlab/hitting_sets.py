@@ -37,11 +37,19 @@ class HittingSetResult:
     nodes: int
 
 
-def greedy_hitting(sets: Sequence[VertexSet], universe: int) -> VertexSet:
-    """Repeatedly pick the vertex hitting the most unhit sets (least index on ties)."""
-    masks = [s.bits for s in sets]
+def greedy_hitting(sets: Sequence[VertexSet]) -> VertexSet:
+    """Repeatedly pick the vertex hitting the most unhit sets (least index on ties).
+
+    The collection must be nonempty, hold no empty set, and keep every set
+    on one vertex count, the universe.
+    """
+    if len({s.n for s in sets}) != 1:
+        raise ValueError("need a nonempty collection of target sets on one vertex count")
+    if any(not s.bits for s in sets):
+        raise ValueError("an empty target set cannot be hit")
+    universe = sets[0].n
     chosen = 0
-    unhit = list(masks)
+    unhit = [s.bits for s in sets]
     while unhit:
         best_v = -1
         best_cnt = 0
@@ -53,8 +61,6 @@ def greedy_hitting(sets: Sequence[VertexSet], universe: int) -> VertexSet:
             if counts[v] > best_cnt:
                 best_cnt = counts[v]
                 best_v = v
-        if best_v < 0:
-            raise ValueError("an empty target set cannot be hit")
         chosen |= 1 << best_v
         unhit = [m for m in unhit if not (m >> best_v) & 1]
     return VertexSet(universe, chosen)
@@ -72,7 +78,7 @@ def _packing_bound(masks: list[int]) -> int:
 
 
 def min_hitting_set(
-    sets: Sequence[VertexSet], universe: int, budget: int = DEFAULT_HIT_BUDGET
+    sets: Sequence[VertexSet], budget: int = DEFAULT_HIT_BUDGET
 ) -> HittingSetResult:
     """Exact minimum hitting set of the given collection.
 
@@ -80,14 +86,10 @@ def min_hitting_set(
     chosen size, unhit sets) nodes; a node's children go on the stack at
     once, first child on top.  On budget exhaustion the best hitting set
     found so far (at worst the greedy seed) is returned with ``exact=False``.
+    The collection is checked as ``greedy_hitting`` checks it.
     """
-    if not sets:
-        raise ValueError("need a nonempty collection of target sets")
+    greedy = greedy_hitting(sets)
     masks = [s.bits for s in sets]
-    if any(m == 0 for m in masks):
-        raise ValueError("an empty target set cannot be hit")
-
-    greedy = greedy_hitting(sets, universe)
     best_mask = greedy.bits
     best_size = len(greedy)
     root_cert = _packing_bound(masks)
@@ -111,7 +113,7 @@ def min_hitting_set(
             stack.append((chosen_mask | bit, chosen_size + 1, [m for m in unhit if not m & bit]))
     return HittingSetResult(
         h=best_size,
-        witness=VertexSet(universe, best_mask),
+        witness=VertexSet(greedy.n, best_mask),
         num_targets=len(sets),
         lower_bound_cert=root_cert,
         exact=nodes <= budget,
@@ -141,7 +143,7 @@ def h_of_graph(
         need = alpha - threshold_eps * G.n
         min_size = max(0, -((-need.numerator) // need.denominator)) if need > 0 else 0
         targets = enumerate_maximal_independent_sets(G, min_size=min_size, cap=cap)
-    return min_hitting_set(targets, G.n, budget=budget)
+    return min_hitting_set(targets, budget=budget)
 
 
 def covering_code_check(m: int, radius: int, code: Sequence[int]) -> bool:

@@ -26,7 +26,6 @@ from hatlab.graph_core import DEFAULT_ENUM_CAP, Graph, VertexSet
 from hatlab.hat_game import (
     DEFAULT_TABLE_BUDGET,
     GameValue,
-    Strategy,
     WinningFamily,
     best_response,
 )
@@ -148,21 +147,25 @@ def view_index(coords: Sequence[int], i: int, N: int) -> int:
     return idx
 
 
-def simulate_strategy(family: WinningFamily, s: Strategy) -> tuple[int, Fraction]:
-    """Per-tuple forward simulation of a strategy's winning set."""
+def simulate_strategy(
+    family: WinningFamily, tables: Sequence[Sequence[int]]
+) -> tuple[int, Fraction]:
+    """Per-tuple forward simulation of the winning set of a strategy, given
+    as its guess tables."""
     N = 1 << family.n
-    total = N**s.t
+    t = len(tables)
+    total = N**t
     count = 0
     for flat in range(total):
         coords = []
         f = flat
-        for _ in range(s.t):
+        for _ in range(t):
             coords.append(f % N)
             f //= N
         coords.reverse()
         if all(
-            (family.sets[s.tables[i][view_index(coords, i, N)]] >> coords[i]) & 1
-            for i in range(s.t)
+            (family.sets[tables[i][view_index(coords, i, N)]] >> coords[i]) & 1
+            for i in range(t)
         ):
             count += 1
     return count, Fraction(count, total)
@@ -217,7 +220,7 @@ def brute_two_player_value(family: WinningFamily) -> Fraction:
     best = Fraction(0)
     for t0 in product(range(family.r), repeat=N):
         for t1 in product(range(family.r), repeat=N):
-            _, measure = simulate_strategy(family, Strategy(2, family.n, (t0, t1)))
+            _, measure = simulate_strategy(family, (t0, t1))
             if measure > best:
                 best = measure
     return best
@@ -249,9 +252,8 @@ def reference_exact_value_two_players(
             best_g2 = g2
     assert best_g2 is not None
     table0, _ = best_response(family, best_g2)
-    witness = Strategy(2, family.n, (table0, best_g2))
     mode = "exact" if exhaustive else "lower_bound"
-    return GameValue(2, family.n, family.kind, best_val, mode, witness)
+    return GameValue(2, family.n, family.kind, best_val, mode, (table0, best_g2))
 
 
 def two_player_winning_masks(family: WinningFamily) -> list[int]:
@@ -400,7 +402,7 @@ def reference_min_hitting_set(
     if any(m == 0 for m in masks):
         raise ValueError("an empty target set cannot be hit")
 
-    greedy = greedy_hitting(sets, universe)
+    greedy = greedy_hitting(sets)
     best_mask = greedy.bits
     best_size = len(greedy)
     root_cert = _packing_bound(masks)

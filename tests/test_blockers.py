@@ -153,7 +153,7 @@ def test_lift_requires_matching_space():
 
 def test_single_tuple_is_not_a_blocker():
     fam = winning_family("dictator", 2)
-    res = verify_blocker(2, 2, [(0b01, 0b01)], fam)
+    res = verify_blocker([(0b01, 0b01)], fam)
     assert not res.is_blocker
     assert res.counterexample is not None
     # the returned partial strategy must actually avoid the tuple
@@ -170,7 +170,7 @@ def test_lifted_blockers_verify_at_n4():
     lifted = lift_blockers(pair_blockers(4), build_ell_tuples(4, 2, seed=5))
     fam = winning_family("dictator", 4)
     for b in lifted.blockers:
-        assert verify_blocker(4, 2, b, fam).is_blocker
+        assert verify_blocker(b, fam).is_blocker
 
 
 def test_verifier_agrees_with_strategy_enumeration():
@@ -188,14 +188,23 @@ def test_verifier_agrees_with_strategy_enumeration():
         amask = sum(1 << p for p in chosen)
         tuples = [(p // 4, p % 4) for p in chosen]
         brute = all(w & amask for w in oracle)
-        assert verify_blocker(2, 2, tuples, fam).is_blocker == brute
+        assert verify_blocker(tuples, fam).is_blocker == brute
+
+
+def test_verify_refuses_malformed_candidates():
+    # n comes from the family and t from the tuples: no tuples, two arities,
+    # a single player, and a point past n = 2 are refused
+    fam = winning_family("dictator", 2)
+    for A in ([], [(0, 1), (0, 1, 2)], [(3, 1, 2), (0, 1)], [(0,), (1,)], [(0, 4)]):
+        with pytest.raises(ValueError):
+            verify_blocker(A, fam)
 
 
 def test_verify_budget_exhaustion_is_loud():
     lifted = lift_blockers(pair_blockers(4), build_ell_tuples(4, 2, seed=5))
     fam = winning_family("dictator", 4)
     with pytest.raises(BudgetExceededError):
-        verify_blocker(4, 2, next(iter(lifted.blockers)), fam, budget=3)
+        verify_blocker(next(iter(lifted.blockers)), fam, budget=3)
 
 
 def test_verify_three_player_blocker():
@@ -203,9 +212,9 @@ def test_verify_three_player_blocker():
     # tiny hand cases work: the full cube B^3 at n=1 blocks everything
     fam = winning_family("dictator", 1)
     all_tuples = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
-    assert verify_blocker(1, 3, all_tuples, fam).is_blocker
+    assert verify_blocker(all_tuples, fam).is_blocker
     # removing the all-ones tuple leaves the always-guess strategy unblocked
-    assert not verify_blocker(1, 3, all_tuples[:-1], fam).is_blocker
+    assert not verify_blocker(all_tuples[:-1], fam).is_blocker
 
 
 def _random_candidate(n, t, seed, c):
@@ -242,7 +251,7 @@ def test_verifier_matches_reference_dfs(kind):
             for c in range(4):
                 A = _random_candidate(n, t, 77, c)
                 for budget in (7, 50, 20_000):
-                    got = _outcome(verify_blocker, n, t, A, fam, budget=budget)
+                    got = _outcome(verify_blocker, A, fam, budget=budget)
                     ref = _outcome(reference_verify_blocker, n, t, A, fam, budget=budget)
                     if got[0] == "exhausted":
                         assert got == ref
@@ -266,7 +275,7 @@ def test_deep_candidate_needs_no_recursion(tmp_path):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        res = verify_blocker(5, 3, A, winning_family("dictator", 5))
+        res = verify_blocker(A, winning_family("dictator", 5))
         status, records = run(["blockers", "verify", "--file", str(path)], capture=True)
         assert sys.getrecursionlimit() == 200
     finally:
@@ -282,7 +291,7 @@ def test_deep_candidate_needs_no_recursion(tmp_path):
 def test_level2_certificate_nodes_pinned():
     lifted = lift_blockers(pair_blockers(4), build_ell_tuples(4, 2, seed=101))
     fam = winning_family("dictator", 4)
-    results = [verify_blocker(4, 2, b, fam) for b in lifted.blockers]
+    results = [verify_blocker(b, fam) for b in lifted.blockers]
     assert all(res.is_blocker for res in results)
     assert [res.nodes for res in results] == [20] * 8
 
@@ -294,7 +303,7 @@ def test_level2_certificate_node_total_pinned_at_n6():
     for seed in (101, 202, 303):
         tf = build_ell_tuples(6, 2, seed=seed, target_measure=Fraction(12, 64))
         for b in lift_blockers(pair_blockers(6), tf).blockers:
-            res = verify_blocker(6, 2, b, fam)
+            res = verify_blocker(b, fam)
             assert res.is_blocker
             nodes += res.nodes
     assert nodes == 8064

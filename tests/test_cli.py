@@ -339,6 +339,16 @@ def test_guard_failure_exits_1():
     assert status == 1
 
 
+def test_unwritable_out_file_exits_1(tmp_path, capsys):
+    # the records are written once the command has run; a path that cannot
+    # be opened is reported like any other error, after the suite's table
+    out = tmp_path / "missing" / "x.json"
+    for argv in (["alpha", "--construct", "kneser:3"], ["suite", "--quick"]):
+        assert run(["--out", str(out), *argv])[0] == 1
+        assert "hatlab: error:" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_malformed_construct_spec_exits_2(capsys):
     for spec in ("cayley:4", "kneser:3,4", "shift:", "kneser:x", "kneser", "gnp:10,0.5",
                  "gnp:10,x,1", "petersen:3", "kneser:3^0", "kneser:3^x", "kneser:3^"):

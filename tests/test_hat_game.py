@@ -12,7 +12,6 @@ from hatlab.graph_core import max_independent_set
 from hatlab.hat_game import (
     DEFAULT_TABLE_BUDGET,
     KINDS,
-    Strategy,
     WinningFamily,
     best_response,
     check_positive_correlation,
@@ -120,15 +119,13 @@ def test_family_guards():
 
 def test_single_player_winning_set():
     fam = winning_family("dictator", 2)
-    s = Strategy(1, 2, ((1,),))
-    mask, measure = winning_set_of_strategy(fam, s)
+    mask, measure = winning_set_of_strategy(fam, ((1,),))
     assert mask == fam.sets[1] and measure == HALF
 
 
 def test_two_player_n1_forced():
     fam = winning_family("dictator", 1)
-    s = Strategy(2, 1, ((0, 0), (0, 0)))
-    mask, measure = winning_set_of_strategy(fam, s)
+    mask, measure = winning_set_of_strategy(fam, ((0, 0), (0, 0)))
     assert measure == Fraction(1, 4)
     assert mask == 1 << (1 * 2 + 1)  # only the all-ones pair wins
 
@@ -148,18 +145,16 @@ def test_winning_set_matches_simulation_oracle():
             tuple(randrange(fam.r, seed, i, v) for v in range(N ** (t - 1)))
             for i in range(t)
         )
-        s = Strategy(t, n, tables)
-        mask, measure = winning_set_of_strategy(fam, s)
-        count, oracle_measure = simulate_strategy(fam, s)
+        mask, measure = winning_set_of_strategy(fam, tables)
+        count, oracle_measure = simulate_strategy(fam, tables)
         assert mask.bit_count() == count and measure == oracle_measure
 
 
 def test_winning_set_guard():
     # 4096^2 = 2^24 tuples, past DEFAULT_MASK_GUARD
     fam = winning_family("dictator", 12)
-    s = Strategy(2, 12, tuple(tuple([0] * 4096) for _ in range(2)))
     with pytest.raises(SizeLimitError):
-        winning_set_of_strategy(fam, s)
+        winning_set_of_strategy(fam, ((0,) * 4096,) * 2)
 
 
 @pytest.mark.parametrize("kind,n", [("dictator", 3), ("intersecting", 3), ("monotone", 4)])
@@ -181,7 +176,7 @@ def test_best_response_matches_exhaustive_player0_tables():
     g2 = (0, 0, 0, 0)
     _, value = best_response(fam, g2)
     best = max(
-        simulate_strategy(fam, Strategy(2, 2, ((a, b, c, d), g2)))[1]
+        simulate_strategy(fam, ((a, b, c, d), g2))[1]
         for a in range(2)
         for b in range(2)
         for c in range(2)
@@ -196,7 +191,7 @@ def test_best_response_dominates_arbitrary_tables():
         g2 = tuple(randrange(2, 40, seed, v) for v in range(4))
         t0 = tuple(randrange(2, 41, seed, v) for v in range(4))
         _, value = best_response(fam, g2)
-        assert value >= simulate_strategy(fam, Strategy(2, 2, (t0, g2)))[1]
+        assert value >= simulate_strategy(fam, (t0, g2))[1]
 
 
 def test_two_player_n1_dictator():
@@ -333,7 +328,7 @@ def test_coordinate_ascent_never_decreases():
     tables = [
         [randrange(fam.r, 99, i, v) for v in range(16)] for i in range(3)
     ]
-    _, history = coordinate_ascent(fam, 3, tables)
+    _, history = coordinate_ascent(fam, tables)
     assert all(history[i] <= history[i + 1] for i in range(len(history) - 1))
 
 
@@ -361,13 +356,13 @@ def test_coordinate_ascent_matches_per_tuple_oracle(kind, n, t):
     fam = winning_family(kind, n)
     views = (1 << n) ** (t - 1)
     tables = [tuple(randrange(fam.r, 31, t, i, v) for v in range(views)) for i in range(t)]
-    _, history = coordinate_ascent(fam, t, tables)
+    _, history = coordinate_ascent(fam, tables)
     work = list(tables)
     for sweeps, value in enumerate(history, 1):
         for i in range(t):
             work[i] = brute_best_response_table(fam, work, i)
-        strat, head = coordinate_ascent(fam, t, tables, max_sweeps=sweeps)
-        assert strat.tables == tuple(work) and head == history[:sweeps]
+        strat, head = coordinate_ascent(fam, tables, max_sweeps=sweeps)
+        assert strat == tuple(work) and head == history[:sweeps]
         assert simulate_strategy(fam, strat)[1] == value
 
 
@@ -391,23 +386,23 @@ def test_nested_lower_bound_needs_a_restart():
 
 # on a dictator family for n = 2 (r = 2, 4 views per player of two); before
 # the guesses were checked, most of these returned a value (a -1 read the
-# last set, a long or short table was sliced, a wrong n went unread) or
-# failed with a bare IndexError; ascent with no players failed with an
-# UnboundLocalError
+# last set, a long or short table was sliced, tables built for n = 3 went
+# unread) or failed with a bare IndexError; ascent with no players failed
+# with an UnboundLocalError, and the winning set of no players was a sure win
 REFUSED = {
     "best_response:guess-1": lambda fam: best_response(fam, [-1] * 4),
     "best_response:guess2": lambda fam: best_response(fam, [0, 0, 2, 0]),
     "best_response:3-guesses": lambda fam: best_response(fam, [0] * 3),
-    "winning_set:9-guesses": lambda fam: winning_set_of_strategy(fam, Strategy(2, 2, ((0,) * 4, (0,) * 9))),
-    "winning_set:3-guesses": lambda fam: winning_set_of_strategy(fam, Strategy(2, 2, ((0,) * 4, (0,) * 3))),
-    "winning_set:guess2": lambda fam: winning_set_of_strategy(fam, Strategy(2, 2, ((0,) * 4, (2,) * 4))),
-    "winning_set:n3": lambda fam: winning_set_of_strategy(fam, Strategy(2, 3, ((0,) * 4, (0,) * 4))),
-    "winning_set:2-tables-t3": lambda fam: winning_set_of_strategy(fam, Strategy(3, 2, ((0,) * 16,) * 2)),
-    "ascent:guess-1": lambda fam: coordinate_ascent(fam, 3, [[-1] * 16] * 3),
-    "ascent:15-guesses": lambda fam: coordinate_ascent(fam, 3, [[0] * 15] * 3),
-    "ascent:2-tables": lambda fam: coordinate_ascent(fam, 3, [[0] * 16] * 2),
-    "ascent:no-players": lambda fam: coordinate_ascent(fam, 0, []),
-    "ascent:t-1": lambda fam: coordinate_ascent(fam, -1, [[0]]),
+    "winning_set:9-guesses": lambda fam: winning_set_of_strategy(fam, ((0,) * 4, (0,) * 9)),
+    "winning_set:3-guesses": lambda fam: winning_set_of_strategy(fam, ((0,) * 4, (0,) * 3)),
+    "winning_set:guess2": lambda fam: winning_set_of_strategy(fam, ((0,) * 4, (2,) * 4)),
+    "winning_set:n3": lambda fam: winning_set_of_strategy(fam, ((0,) * 8, (0,) * 8)),
+    "winning_set:2-tables-t3": lambda fam: winning_set_of_strategy(fam, ((0,) * 16,) * 2),
+    "winning_set:no-players": lambda fam: winning_set_of_strategy(fam, ()),
+    "ascent:guess-1": lambda fam: coordinate_ascent(fam, [[-1] * 16] * 3),
+    "ascent:15-guesses": lambda fam: coordinate_ascent(fam, [[0] * 15] * 3),
+    "ascent:2-tables": lambda fam: coordinate_ascent(fam, [[0] * 16] * 2),
+    "ascent:no-players": lambda fam: coordinate_ascent(fam, []),
     "correlation:J-1": lambda fam: check_positive_correlation(fam, (-1,), 0),
     "correlation:i2": lambda fam: check_positive_correlation(fam, (0,), 2),
 }

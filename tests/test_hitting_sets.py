@@ -26,27 +26,32 @@ def vs(universe, *indices):
 
 
 def test_disjoint_singletons():
-    res = min_hitting_set([vs(2, 0), vs(2, 1)], 2)
+    res = min_hitting_set([vs(2, 0), vs(2, 1)])
     assert res.h == 2 and res.exact and res.lower_bound_cert == 2
 
 
 def test_single_set():
-    res = min_hitting_set([vs(4, 1, 3)], 4)
+    res = min_hitting_set([vs(4, 1, 3)])
     assert res.h == 1
+    # the universe is the sets' vertex count, so their top vertex is in it
+    assert min_hitting_set([vs(4, 3)]).witness == vs(4, 3)
 
 
 def test_c5_maximum_sets_need_three():
     sets = enumerate_maximum_independent_sets(C5)
-    res = min_hitting_set(sets, 5)
+    res = min_hitting_set(sets)
     assert res.h == 3 == brute_min_hitting([s.bits for s in sets], 5)
     assert all(s.bits & res.witness.bits for s in sets)
 
 
 def test_empty_target_rejected():
-    with pytest.raises(ValueError):
-        min_hitting_set([VertexSet(3, 0)], 3)
-    with pytest.raises(ValueError):
-        min_hitting_set([], 3)
+    # an empty target set, no targets, and targets on two vertex counts (the
+    # universe once came as its own argument, and a set past it failed with
+    # an IndexError)
+    for sets in ([VertexSet(3, 0)], [], [vs(4, 3), vs(2, 1)], [vs(2, 1), vs(4, 3)]):
+        for solve in (min_hitting_set, greedy_hitting):
+            with pytest.raises(ValueError):
+                solve(sets)
 
 
 def test_matches_brute_force_on_corpus():
@@ -62,10 +67,10 @@ def test_matches_brute_force_on_corpus():
 
 def test_budget_exhaustion_returns_inexact_upper_bound():
     sets = enumerate_maximum_independent_sets(C5)
-    res = min_hitting_set(sets, 5, budget=2)
+    res = min_hitting_set(sets, budget=2)
     assert not res.exact
     assert all(s.bits & res.witness.bits for s in sets)
-    assert res.h >= min_hitting_set(sets, 5).h
+    assert res.h >= min_hitting_set(sets).h
 
 
 def _outcome(res):
@@ -81,7 +86,7 @@ def test_search_matches_reference_recursion():
             size = 1 + randrange(4, 31, c, 2, j)
             sets.append(vs(universe, *(randrange(universe, 31, c, 3, j, k) for k in range(size))))
         for budget in (1, 3, 10, 40, 200, 5_000_000):
-            got = min_hitting_set(sets, universe, budget=budget)
+            got = min_hitting_set(sets, budget=budget)
             assert _outcome(got) == _outcome(reference_min_hitting_set(sets, universe, budget=budget))
             exact_seen.add(got.exact)
     assert exact_seen == {True, False}
@@ -94,7 +99,7 @@ def test_deep_search_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        res = min_hitting_set(sets, 360, budget=2000)
+        res = min_hitting_set(sets, budget=2000)
         assert sys.getrecursionlimit() == 200
     finally:
         sys.setrecursionlimit(limit)
@@ -107,15 +112,15 @@ def test_deep_search_needs_no_recursion():
 
 def test_greedy_c5_between_h_and_four():
     sets = enumerate_maximum_independent_sets(C5)
-    g = greedy_hitting(sets, 5)
+    g = greedy_hitting(sets)
     assert 3 <= len(g) <= 4
     assert all(s.bits & g.bits for s in sets)
 
 
 def test_greedy_single_and_nested():
-    assert len(greedy_hitting([vs(5, 2, 4)], 5)) == 1
+    assert len(greedy_hitting([vs(5, 2, 4)])) == 1
     nested = [vs(6, 1), vs(6, 1, 3), vs(6, 1, 3, 5)]
-    g = greedy_hitting(nested, 6)
+    g = greedy_hitting(nested)
     assert g.bits == 0b10
 
 
