@@ -3,9 +3,7 @@
 Each criterion is a body returning ``(passed, detail)``, registered with
 ``_criterion``, which numbers it, times it, applies its time limit and
 builds its :class:`CheckResult`; ``ALL_CHECKS`` lists the criteria in
-registration order.  The quick tier shrinks instance counts but never
-loosens a tolerance: exact assertions stay exact, Monte-Carlo assertions
-stay at their stated sigma multiples.
+registration order.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ class CheckResult:
     seconds: float
 
 
-ALL_CHECKS: list[Callable[[bool], CheckResult]] = []
+ALL_CHECKS: list[Callable[[], CheckResult]] = []
 
 
 def _criterion(name: str, limit: float = inf):
@@ -63,13 +61,13 @@ def _criterion(name: str, limit: float = inf):
     the body took less than ``limit`` seconds.
     """
 
-    def register(body: Callable[[bool], tuple[bool, str]]) -> Callable[[bool], CheckResult]:
+    def register(body: Callable[[], tuple[bool, str]]) -> Callable[[], CheckResult]:
         cid = len(ALL_CHECKS) + 1
 
         @wraps(body)
-        def check(quick: bool) -> CheckResult:
+        def check() -> CheckResult:
             t0 = time.perf_counter()
-            passed, detail = body(quick)
+            passed, detail = body()
             seconds = time.perf_counter() - t0
             return CheckResult(cid, name, passed and seconds < limit, detail, seconds)
 
@@ -94,7 +92,6 @@ def _alpha_bar_power(n: int, t: int) -> Fraction:
     return max_independent_set(hamming_power(kneser_hypercube(n), t)).alpha_bar
 
 
-@lru_cache(maxsize=None)
 def _certify_level2(n: int, seeds: tuple[int, ...]) -> tuple[int, bool]:
     """Build and verify lifted level-2 blocker families; (count, all passed)."""
     fam = winning_family("dictator", n)
@@ -140,23 +137,22 @@ def _edge_k4_union(a: int, b: int, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@_criterion("kneser_alpha_baseline")
-def check_1_kneser_alpha(quick: bool) -> tuple[bool, str]:
+@_criterion("kneser_alpha_baseline", limit=1.0)
+def check_1_kneser_alpha() -> tuple[bool, str]:
     passed = True
     details = []
     for n in range(2, 6):
-        t1 = time.perf_counter()
         res = max_independent_set(kneser_hypercube(n))
-        passed &= res.alpha == 1 << (n - 1) and time.perf_counter() - t1 < 1.0
+        passed &= res.alpha == 1 << (n - 1)
         details.append(f"n={n}:{res.alpha}")
     return passed, "alpha(K(n))=2^(n-1) for n=2..5 [" + " ".join(details) + "]"
 
 
 @_criterion("game_graph_identity", limit=300.0)
-def check_2_game_graph_identity(quick: bool) -> tuple[bool, str]:
+def check_2_game_graph_identity() -> tuple[bool, str]:
     passed = True
     details = []
-    for n in (2,) if quick else (2, 3):
+    for n in (2, 3):
         lhs = _p2("intersecting", n)
         rhs = _alpha_bar_power(n, 2)
         passed &= lhs == rhs
@@ -165,7 +161,7 @@ def check_2_game_graph_identity(quick: bool) -> tuple[bool, str]:
 
 
 @_criterion("power_monotonicity")
-def check_3_power_monotonicity(quick: bool) -> tuple[bool, str]:
+def check_3_power_monotonicity() -> tuple[bool, str]:
     seq2 = [_alpha_bar_power(2, t) for t in (1, 2, 3)]
     seq3 = [_alpha_bar_power(3, t) for t in (1, 2)]
     ok2 = all(seq2[i] >= seq2[i + 1] for i in range(len(seq2) - 1))
@@ -178,10 +174,10 @@ def check_3_power_monotonicity(quick: bool) -> tuple[bool, str]:
 
 
 @_criterion("folklore_three_eighths")
-def check_4_folklore_bound(quick: bool) -> tuple[bool, str]:
+def check_4_folklore_bound() -> tuple[bool, str]:
     passed = lemma_bound(Fraction(1, 2), 2, Fraction(1)) == Fraction(3, 8)
     vals = []
-    for n in (1, 2) if quick else (1, 2, 3):
+    for n in (1, 2, 3):
         v = _p2("dictator", n)
         passed &= v <= Fraction(3, 8)
         vals.append(f"p(2,{n})={v}")
@@ -190,12 +186,12 @@ def check_4_folklore_bound(quick: bool) -> tuple[bool, str]:
 
 
 @_criterion("strict_player_monotonicity")
-def check_5_strict_monotonicity(quick: bool) -> tuple[bool, str]:
+def check_5_strict_monotonicity() -> tuple[bool, str]:
     passed = True
     details = []
     delta = Fraction(1, (1 << 12) * 144)  # 2^-12 * (1/12) / 12 from the level-2 schedule
     level2 = blocker_schedule(2)[1]
-    for n in (1, 2) if quick else (1, 2, 3):
+    for n in (1, 2, 3):
         p2 = _p2("dictator", n)
         passed &= p2 < Fraction(1, 2)
         upper3 = lemma_bound(p2, level2.k, level2.beta)
@@ -216,20 +212,17 @@ def _brute_force_blocker_oracle(n: int) -> list[int]:
 
 
 @_criterion("blocker_certification", limit=600.0)
-def check_6_blocker_certification(quick: bool) -> tuple[bool, str]:
-    seeds = (101,) if quick else (101, 202, 303)
+def check_6_blocker_certification() -> tuple[bool, str]:
     passed = True
     details = []
     for n in (4, 5, 6):
-        count, ok = _certify_level2(n, seeds)
-        passed &= ok
-        if not quick:
-            passed &= count >= 20
+        count, ok = _certify_level2(n, (101, 202, 303))
+        passed &= ok and count >= 20
         details.append(f"n={n}:{count} certified")
     # verifier agreement against full strategy enumeration at n=2
     oracle_sets = _brute_force_blocker_oracle(2)
     fam = winning_family("dictator", 2)
-    candidates = 60 if quick else 200
+    candidates = 200
     agree = 0
     seed = 424242
     for c in range(candidates):
@@ -252,7 +245,7 @@ def check_6_blocker_certification(quick: bool) -> tuple[bool, str]:
 
 
 @_criterion("schedule_exactness")
-def check_7_schedule_exactness(quick: bool) -> tuple[bool, str]:
+def check_7_schedule_exactness() -> tuple[bool, str]:
     sch = blocker_schedule(3)
     expected_k = (2, 12, 32_449_872)
     expected_beta = (Fraction(1), Fraction(1, 12), Fraction(1, 24 * comb(24, 12)))
@@ -261,7 +254,7 @@ def check_7_schedule_exactness(quick: bool) -> tuple[bool, str]:
 
 
 @_criterion("shift_graph_regression", limit=60.0)
-def check_8_shift_graph_regression(quick: bool) -> tuple[bool, str]:
+def check_8_shift_graph_regression() -> tuple[bool, str]:
     passed = True
     details = []
     for k in (1, 2, 3):
@@ -275,7 +268,7 @@ def check_8_shift_graph_regression(quick: bool) -> tuple[bool, str]:
 
 
 @_criterion("distance_graph_regression", limit=300.0)
-def check_9_distance_graph_regression(quick: bool) -> tuple[bool, str]:
+def check_9_distance_graph_regression() -> tuple[bool, str]:
     G = cayley_distance_graph(4, 1)
     res = max_independent_set(G)
     passed = res.alpha == 5
@@ -300,12 +293,11 @@ def check_9_distance_graph_regression(quick: bool) -> tuple[bool, str]:
 
 
 @_criterion("hajnal_property")
-def check_10_hajnal_property(quick: bool) -> tuple[bool, str]:
-    per_p = 40 if quick else 200
+def check_10_hajnal_property() -> tuple[bool, str]:
     failures = 0
     total = 0
     for pi, p in enumerate((0.1, 0.2, 0.3, 0.4, 0.5)):
-        for g in range(per_p):
+        for g in range(200):
             G = random_gnp(12, p, seed=u64(8600, pi, g) & ((1 << 32) - 1))
             total += 1
             if not hajnal_check(G).passed:
@@ -315,12 +307,12 @@ def check_10_hajnal_property(quick: bool) -> tuple[bool, str]:
 
 
 @_criterion("alpha_star_star_oracles")
-def check_11_alpha_star_star_oracles(quick: bool) -> tuple[bool, str]:
+def check_11_alpha_star_star_oracles() -> tuple[bool, str]:
     single_edge = make_graph(2, [(0, 1)])
     edgeless = make_graph(6, [])
     passed = alpha_star_star_exact(single_edge).estimate == Fraction(3, 8)
     passed &= alpha_star_star_exact(edgeless).estimate == Fraction(1, 2)
-    graphs = 12 if quick else 50
+    graphs = 50
     agree = 0
     for g in range(graphs):
         n = 6 + g % 7  # sizes 6..12
@@ -341,11 +333,10 @@ MARGIN_CORPUS = (
 
 
 @_criterion("margin_bound")
-def check_12_margin_bound(quick: bool) -> tuple[bool, str]:
-    corpus = MARGIN_CORPUS[:8] if quick else MARGIN_CORPUS
+def check_12_margin_bound() -> tuple[bool, str]:
     passed = True
     worst = None
-    for idx, (a, b) in enumerate(corpus):
+    for idx, (a, b) in enumerate(MARGIN_CORPUS):
         G = _edge_k4_union(a, b, seed=7000 + idx)
         rep = alpha_star_star_margin(G, samples=1500, seed=7500 + idx)
         low, high = Fraction(1, 50), Fraction(1, 5)
@@ -354,7 +345,7 @@ def check_12_margin_bound(quick: bool) -> tuple[bool, str]:
         if worst is None or gap < worst[0]:
             worst = (gap, a, b, rep.mode)
     detail = (
-        f"{len(corpus)} graphs with tau in [0.02,0.2] all meet the bound; "
+        f"{len(MARGIN_CORPUS)} graphs with tau in [0.02,0.2] all meet the bound; "
         f"smallest slack {worst[0]:.4f} at (edges={worst[1]}, K4s={worst[2]}, {worst[3]})"
     )
     return passed, detail
@@ -385,14 +376,13 @@ def _strip_volatile(records: list[dict]) -> list[dict]:
 
 
 @_criterion("determinism_replay")
-def check_13_determinism(quick: bool) -> tuple[bool, str]:
+def check_13_determinism() -> tuple[bool, str]:
     from .cli import run as cli_run
 
-    commands = DETERMINISM_COMMANDS[:4] if quick else DETERMINISM_COMMANDS
     matched = 0
-    for cmd in commands:
+    for cmd in DETERMINISM_COMMANDS:
         status_a, rec_a = cli_run(cmd, capture=True)
         status_b, rec_b = cli_run(cmd, capture=True)
         matched += status_a == status_b == 0 and _strip_volatile(rec_a) == _strip_volatile(rec_b)
-    detail = f"{matched}/{len(commands)} seeded commands bit-identical across two runs"
-    return matched == len(commands), detail
+    detail = f"{matched}/{len(DETERMINISM_COMMANDS)} seeded commands bit-identical across two runs"
+    return matched == len(DETERMINISM_COMMANDS), detail

@@ -436,7 +436,7 @@ def cmd_suite(args, em: Emitter) -> int:
 
     done = 0
     for check in ALL_CHECKS:
-        res = check(quick=args.quick)
+        res = check()
         status = "PASS" if res.passed else "FAIL"
         done += res.passed
         # the table streams to stdout as checks finish; JSON records go to --out
@@ -554,8 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     _library_count(p, "--budget", DEFAULT_HIT_BUDGET)
     _library_count(p, "--cap", DEFAULT_ENUM_CAP, "maximum independent sets enumerated")
 
-    p = _leaf(sub, "suite", cmd_suite, help="run the acceptance battery")
-    p.add_argument("--quick", action="store_true")
+    _leaf(sub, "suite", cmd_suite, help="run the acceptance battery")
 
     return parser
 

@@ -343,7 +343,7 @@ def test_unwritable_out_file_exits_1(tmp_path, capsys):
     # the records are written once the command has run; a path that cannot
     # be opened is reported like any other error, after the suite's table
     out = tmp_path / "missing" / "x.json"
-    for argv in (["alpha", "--construct", "kneser:3"], ["suite", "--quick"]):
+    for argv in (["alpha", "--construct", "kneser:3"], ["suite"]):
         assert run(["--out", str(out), *argv])[0] == 1
         assert "hatlab: error:" in capsys.readouterr().err
     assert not out.parent.exists()
@@ -667,9 +667,9 @@ def test_threshold_targets_stop_at_the_node_budget(monkeypatch, capsys):
     assert "maximal-set enumeration exceeded 5 nodes" in capsys.readouterr().err
 
 
-def test_suite_quick_writes_one_passing_record_per_criterion(tmp_path, capsys):
+def test_suite_writes_one_passing_record_per_criterion(tmp_path, capsys):
     out = tmp_path / "suite.jsonl"
-    status, returned = cli.run(["--out", str(out), "suite", "--quick"])
+    status, returned = cli.run(["--out", str(out), "suite"])
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert status == 0 and records == returned
     assert [r["criterion"] for r in records] == list(range(1, 14))
