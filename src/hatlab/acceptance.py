@@ -78,11 +78,10 @@ def _criterion(name: str, limit: float = inf):
 
 
 # ---------------------------------------------------------------------------
-# Shared cached computations
+# Shared computations
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _p2(kind: str, n: int) -> Fraction:
     return exact_value_two_players(winning_family(kind, n)).value
 

@@ -502,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--players", type=count, required=True)
     p.add_argument("--hats", type=count, required=True)
-    _library_count(p, "--budget", DEFAULT_TABLE_BUDGET, "table budget of the two-player search")
+    _library_count(p, "--budget", DEFAULT_TABLE_BUDGET,
+                   "player-1 tables of the two-player search, in lexicographic order, scored or ruled out")
     p.add_argument("--seed", type=int)
     _library_count(p, "--restarts", DEFAULT_RESTARTS, "coordinate-ascent restarts")
 

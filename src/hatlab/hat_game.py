@@ -19,18 +19,18 @@ Conventions:
 
 Every best response, and every value coordinate ascent reports, comes from
 one per-view evaluator (``_others_correct``).  The two-player table search
-scores tables with a packed kernel whose columns are that evaluator's
-per-view masks, and re-derives its winner's value with ``best_response``.
-``winning_set_of_strategy`` is the independent whole-strategy scorer:
-``nested_lower_bound`` re-scores its witness with it, so a reported bound
-never rests on the evaluator.
+is a branch and bound over packed tables whose columns are that
+evaluator's per-view masks, and re-derives its winner's value with
+``best_response``.  ``winning_set_of_strategy`` is the independent
+whole-strategy scorer: ``nested_lower_bound`` re-scores its witness with
+it, so a reported bound never rests on the evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import compress
 from typing import Sequence
 
 from .bits import iter_bits
@@ -326,63 +326,93 @@ class _Cover(dict):
         return count
 
 
-def _best_player1_table(family: WinningFamily, budget: int) -> tuple[int, tuple[int, ...]]:
+def _best_player1_table(family: WinningFamily, budget: int) -> tuple[int, tuple[int, ...], int]:
     """First player-1 table, in lexicographic order among the first
-    ``budget``, whose best response wins most tuples; returns that count
-    and the table.
+    ``budget``, whose best response wins most tuples; returns that count,
+    the table and the number of search nodes.
 
     A table g2 is one packed integer, the sum over x_0 of
     ``spread[g2[x_0]] << x_0``, where ``spread[g]`` has bit w*W set for
     each w in ``sets[g]`` (W = max(N, 8) bits, a whole number of bytes).
     Its W-bit column x_1 is ``_others_correct(family, ((), g2), 0)[x_1]``,
     and the best response's count is the sum over columns of the memoised
-    cover.  The last view varies fastest, so it is added to each prefix.
+    cover.  The search assigns x_0 = 0, 1, ... depth first, guesses in
+    increasing order, on an explicit stack.  With views 0..k assigned and
+    count A, each later view adds at most one to a column's cover in at
+    most m = max |sets[g]| columns, so a node is cut when A + (N-1-k)*m
+    cannot beat the best count.  At k = N-2 the last view is folded: with
+    D the columns whose cover rises when bit N-1 is added, guess g wins
+    A + |sets[g] & D|.  The budget counts tables whether scored or cut.
     """
     N = 1 << family.n
+    r = family.r
+    sets = family.sets
     width = max(N, 8) // 8  # bytes per column
     size = width * N
-    spread = [sum(1 << (8 * width * w) for w in iter_bits(s)) for s in family.sets]
-    last = [s << (N - 1) for s in spread]
+    spread = [sum(1 << (8 * width * w) for w in iter_bits(s)) for s in sets]
+    top = sum(1 << (8 * width * w) for w in range(N)) << (N - 1)
     columns = [slice(k, k + width) for k in range(0, size, width)]
-    cover = _Cover(family.sets).__getitem__
+    bits = [1 << x1 for x1 in range(N)]
+    cover = _Cover(sets).__getitem__
+    m = max(s.bit_count() for s in sets)
+    span = [r ** (N - 1 - k) for k in range(N - 1)]  # tables below a depth-k node
+    path = [0] * (N - 1)
     best_count = -1
     best_g2: tuple[int, ...] = ()
     left = budget
-    for head in iter_product(range(family.r), repeat=N - 1):
-        prefix = sum(map(int.__lshift__, map(spread.__getitem__, head), range(N - 1)))
-        for g, tail in enumerate(last):
-            if not left:
-                return best_count, best_g2
-            left -= 1
-            packed = (prefix + tail).to_bytes(size, "little")
-            count = sum(map(cover, map(packed.__getitem__, columns)))
-            if count > best_count:
-                best_count = count
-                best_g2 = (*head, g)
-    return best_count, best_g2
+    nodes = 0
+    down = range(r - 1, -1, -1)  # pushed last to first, so popped in order
+    stack = [(0, g, 0) for g in down]  # (depth, guess, parent prefix)
+    while stack:
+        k, g, prefix = stack.pop()
+        nodes += 1
+        path[k] = g
+        prefix += spread[g] << k
+        packed = prefix.to_bytes(size, "little")
+        A = sum(map(cover, map(packed.__getitem__, columns)))
+        if A + (N - 1 - k) * m > best_count:
+            if k < N - 2:
+                stack += [(k + 1, h, prefix) for h in down]
+                continue
+            raised = (prefix + top).to_bytes(size, "little")
+            before = map(cover, map(packed.__getitem__, columns))
+            after = map(cover, map(raised.__getitem__, columns))
+            D = sum(compress(bits, map(int.__lt__, before, after)))
+            gains = [(s & D).bit_count() for s in sets[:left]]
+            gain = max(gains)
+            if A + gain > best_count:
+                best_count = A + gain
+                best_g2 = (*path, gains.index(gain))
+        left -= span[k]
+        if left <= 0:
+            break
+    return best_count, best_g2, nodes
 
 
 def exact_value_two_players(
     family: WinningFamily, budget: int = DEFAULT_TABLE_BUDGET
 ) -> GameValue:
-    """Exact two-player value by enumerating all player-1 tables.
+    """Exact two-player value by a branch and bound over player-1 tables.
 
-    Every player-1 table (equivalently every ordered partition of B into
-    preimages), in lexicographic order, is scored by the number of tuples
-    its exact best response wins, without building that response: the
-    table is packed into one integer whose columns are player 0's
-    per-view masks, and a per-call memo maps each column to its best
-    cover.  The first table with the largest count wins; its player-0
-    table and value come from ``best_response``.  When r^(2^n) tables
-    exceed the budget the enumeration stops early and the best value found
-    is returned with mode "lower_bound".  Past DEFAULT_MASK_GUARD tuples
-    it raises SizeLimitError before any work.
+    Player-1 tables (equivalently ordered partitions of B into
+    preimages) are scored by the number of tuples their exact best
+    response wins, without building that response: a table is packed
+    into one integer whose columns are player 0's per-view masks, and a
+    per-call memo maps each column to its best cover.  The tables are
+    assigned view by view in lexicographic order, and a partial table is
+    cut once its best-response bound cannot beat the best count found.
+    The first table with the largest count wins; its player-0 table and
+    value come from ``best_response``.  ``budget`` counts tables in
+    lexicographic order, scored or cut; when r^(2^n) tables exceed it the
+    search stops there and returns the best of the first ``budget``
+    tables with mode "lower_bound".  Past DEFAULT_MASK_GUARD tuples it
+    raises SizeLimitError before any work.
     """
     if budget < 1:
         raise ValueError("budget must allow at least one table")
     N = 1 << family.n
     _guard_tuples(N, 2)
-    count, g2 = _best_player1_table(family, budget)
+    count, g2, _ = _best_player1_table(family, budget)
     table0, value = best_response(family, g2)
     if value != Fraction(count, N * N):
         raise RuntimeError(f"packed count {count}/{N * N} disagrees with best_response's {value}")

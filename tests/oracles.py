@@ -6,8 +6,9 @@ package's branch-and-bound or coloring machinery.  The ``reference_*``
 searches are the package's earlier versions, kept to pin node counts and
 tie-breaks: the recursive blocker and hitting-set searches, the MIS
 search before its root reduction, and the two-player table search that
-scored each table with a full best response.  ``reference_min_hitting_set``
-reuses the package's greedy seed and packing bound, and
+scored each table with a full best response, then with a packed count
+(``packed_table_improvements``).  ``reference_min_hitting_set`` reuses
+the package's greedy seed and packing bound, and
 ``reference_exact_value_two_players`` its ``best_response``, which they
 do not test.  ``reference_gnp`` draws G(n, p) one scalar ``chance`` per
 pair, as ``random_gnp`` did before it drew a row of coins per pass.
@@ -254,6 +255,58 @@ def reference_exact_value_two_players(
     table0, _ = best_response(family, best_g2)
     mode = "exact" if exhaustive else "lower_bound"
     return GameValue(2, family.n, family.kind, best_val, mode, (table0, best_g2))
+
+
+def packed_table_improvements(
+    family: WinningFamily, limit: int
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The package's earlier packed table scan as a running best over the
+    first ``limit`` player-1 tables in lexicographic order: each strict
+    improvement as (1-based table index, count, table).  The answer of a
+    search of the first b tables is the last improvement at index <= b
+    (``best_table_within``).
+
+    Table g2 is the integer sum of ``spread[g2[x_0]] << x_0``; its column
+    x_1 (W = max(N, 8) bits) holds the views x_0 whose guess contains x_1,
+    and its count sums max_g |sets[g] & column| over the columns.
+    """
+    from itertools import product
+
+    N = 1 << family.n
+    width = max(N, 8) // 8
+    size = width * N
+    spread = [sum(1 << (8 * width * w) for w in iter_bits(s)) for s in family.sets]
+    columns = [slice(k, k + width) for k in range(0, size, width)]
+    memo: dict[bytes, int] = {}
+
+    def cover(key: bytes) -> int:
+        if key not in memo:
+            column = int.from_bytes(key, "little")
+            memo[key] = max((s & column).bit_count() for s in family.sets)
+        return memo[key]
+
+    out: list[tuple[int, int, tuple[int, ...]]] = []
+    best = -1
+    for index, g2 in enumerate(product(range(family.r), repeat=N), 1):
+        if index > limit:
+            break
+        packed = sum(spread[g] << x0 for x0, g in enumerate(g2)).to_bytes(size, "little")
+        count = sum(cover(packed[c]) for c in columns)
+        if count > best:
+            best = count
+            out.append((index, count, g2))
+    return out
+
+
+def best_table_within(
+    improvements: list[tuple[int, int, tuple[int, ...]]], budget: int
+) -> tuple[int, tuple[int, ...]]:
+    """(count, table) of the first ``budget`` tables of a running best."""
+    from bisect import bisect_right
+
+    at = bisect_right([index for index, _, _ in improvements], budget)
+    _, count, g2 = improvements[at - 1]
+    return count, g2
 
 
 def two_player_winning_masks(family: WinningFamily) -> list[int]:

@@ -29,8 +29,10 @@ from oracles import (
     balanced_up_closed_sets,
     brute_best_response_table,
     brute_others_correct,
+    best_table_within,
     brute_two_player_value,
     maximal_intersecting_families,
+    packed_table_improvements,
     reference_exact_value_two_players,
     simulate_strategy,
 )
@@ -250,10 +252,69 @@ def test_two_player_matches_reference_table_search(kind, n, budget):
 
 def test_two_player_search_fails_loudly_on_a_miscount(monkeypatch):
     fam = winning_family("dictator", 2)
-    count, g2 = hat_game._best_player1_table(fam, 5)
-    monkeypatch.setattr(hat_game, "_best_player1_table", lambda family, budget: (count + 1, g2))
+    count, g2, nodes = hat_game._best_player1_table(fam, 5)
+    monkeypatch.setattr(
+        hat_game, "_best_player1_table", lambda family, budget: (count + 1, g2, nodes)
+    )
     with pytest.raises(RuntimeError, match="disagrees"):
         exact_value_two_players(fam, 5)
+
+
+SEARCH_KINDS = (*KINDS, "random")
+
+
+def _search_family(kind, n):
+    """A family of ``kind``; "random" gives three sets of unequal sizes
+    that need not hold the all-ones point, which every set of the three
+    kinds holds, so the last view's gain depends on the guess."""
+    if kind != "random":
+        return winning_family(kind, n)
+    N = 1 << n
+    return WinningFamily(n, kind, tuple(1 + randrange((1 << N) - 1, 25, n, i) for i in range(3)))
+
+
+def _oracle_budgets(kind, n, limit, improvements):
+    """Budgets up to ``limit`` to compare the table search at: all of them,
+    and one past the last table, up to n = 2; past that, each improvement's
+    index and its neighbours (budgets that end inside a folded head's
+    tails) and 200 seeded ones, which mostly end inside a cut node's span."""
+    if n <= 2:
+        return range(1, limit + 2)
+    budgets = {1, limit - 1, limit}
+    budgets |= {i + d for i, _, _ in improvements for d in (-1, 0, 1)}
+    budgets |= {1 + randrange(limit, 24, n, SEARCH_KINDS.index(kind), j) for j in range(200)}
+    return sorted(b for b in budgets if 1 <= b <= limit)
+
+
+@pytest.mark.parametrize(
+    "kind,n,limit",
+    [(kind, n, _search_family(kind, n).r ** (1 << n)) for kind in SEARCH_KINDS for n in (1, 2, 3)]
+    + [("dictator", 4, 3_000), ("intersecting", 4, 3_000), ("monotone", 4, 3_000)],
+)
+def test_table_search_matches_packed_scan_at_every_budget(kind, n, limit):
+    # the branch and bound answers, at each budget, what a table-by-table
+    # scan of the same first tables answers: same count, same first table
+    fam = _search_family(kind, n)
+    improvements = packed_table_improvements(fam, limit)
+    budgets = _oracle_budgets(kind, n, limit, improvements)
+    assert n <= 2 or len(budgets) >= 200
+    for budget in budgets:
+        count, g2, _ = hat_game._best_player1_table(fam, budget)
+        assert (count, g2) == best_table_within(improvements, budget), budget
+
+
+@pytest.mark.parametrize(
+    "kind,n,budget,nodes",
+    [
+        ("dictator", 3, 3**8, 690),
+        ("intersecting", 3, 4**8, 2_240),
+        ("monotone", 3, 4**8, 2_240),
+        ("dictator", 4, 20_000, 2_451),
+    ],
+)
+def test_table_search_node_counts_pinned(kind, n, budget, nodes):
+    # a looser cut (bound < best) finds the same tables in more nodes
+    assert hat_game._best_player1_table(winning_family(kind, n), budget)[2] == nodes
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
