@@ -13,6 +13,8 @@ Below the root a node records only the color classes that can branch
 (k_min, as in MCS and BBMC), which leaves the search tree unchanged.
 The maximum search first takes what the degree <= 1 rules settle, then
 searches the components of the rest in turn (Akiba & Iwata 2016; KaMIS).
+A subtree that found nothing is replayed from a small memo, by its node
+count, when the same candidates and need come round again.
 
 The searches read the rows relabelled v -> 8k - 1 - v (k = ceil(n / 8)),
 where one ``bit_length`` finds the lowest vertex left; masks are flipped in
@@ -33,6 +35,7 @@ from .errors import BudgetExceededError, CapExceededError, GraphFormatError, Siz
 DEFAULT_NODE_BUDGET = 20_000_000
 DEFAULT_ENUM_CAP = 200_000
 DEFAULT_SIZE_LIMIT = 4096  # vertices, for graph files and every construction
+_MEMO_CAP = 64  # failed subtrees a search remembers before it forgets them all
 
 
 @dataclass(frozen=True)
@@ -293,8 +296,9 @@ def _search(
 
     The ``parts``, with no edge between two, are searched in turn from the
     witness so far, on one node budget; with none, ``[taken]`` costs no node.
-    Stack frames are [clique, size, candidates, color order, color bounds,
-    next index]; a frame is dropped once ``size + bound < need``.  ``found``
+    Stack frames are [candidates, color order, color bounds, next index,
+    start, key]; the clique is ``root`` and each frame's branch bit, of size
+    ``r_size``.  A frame is dropped once ``r_size + bound < need``.  ``found``
     holds the leaves of the largest size ``best`` reached, and a larger leaf
     empties it.  ``need`` is ``best + 1`` (maximum search: the one mask left
     is the witness), or ``best`` with ``ties`` (one part) until more than
@@ -303,48 +307,73 @@ def _search(
     + the root color counts of it and of the parts after it].
 
     ``adj`` are the graph's flipped rows, and a color order holds vertex bits.
-    The parts hold no self-looped vertex, so branching on v keeps its
-    complement neighbours ``(local ^ bit) & ~adj[v]``.
     Each root is colored in full, so ``upper`` is certified; a child records
-    only its classes from ``need - r_size - 1`` on and is not pushed without
-    one.  ``need`` never falls, so nothing left out could be branched on:
-    the tree, its node counts and its leaves are those of the full coloring.
+    only its classes from ``kmin = need - r_size - 1`` on and is not pushed
+    without one.  ``need`` never falls, so nothing left out could be branched
+    on.  A child whose key (mask, kmin) is in ``memo`` adds the node count
+    stored there instead of being searched: the tree, its node counts and its
+    leaves are those of the full search (see the comments below).
     """
     found, best = [taken], taken.bit_count()
     need = best + 1
     nodes = 0
+    # A subtree reads only adj, its candidates and kmin, and one that appends
+    # no leaf leaves need, best and found as they were: a later child with
+    # the same key would count the same nodes and append nothing.  A frame's
+    # start is the node count at its push, or -1 for a root, a child without
+    # a key, or once a leaf is appended below it; a frame popped with
+    # start >= 0 stores its subtree's count.  Emptied when full.
+    memo: dict[tuple[int, int], int] = {}
     bits = _bit_table(len(adj)) if parts else ()
     roots = [_color_bound(part, adj, bits, 0) for part in parts]
     later = sum(bound[-1] for _, bound in roots)
     for part, (order, bound) in zip(parts, roots):
         later -= bound[-1]
         upper = best + bound[-1] + later
-        stack = [[found[-1], best, part, order, bound, len(order)]]
+        root, r_size = found[-1], best
+        stack = [[part, order, bound, len(order), -1, None]]
         while stack:
             frame = stack[-1]
-            r_mask, r_size, local, order, bound, i = frame
+            local, order, bound, i, start, key = frame
             i -= 1
             if i < 0 or r_size + bound[i] < need:
                 stack.pop()
+                r_size -= 1
+                if start >= 0:
+                    if len(memo) >= _MEMO_CAP:
+                        memo.clear()
+                    memo[key] = nodes - start
                 continue
-            nodes += 1
-            if nodes > budget:
+            bit = order[i]
+            local ^= bit
+            frame[0], frame[3] = local, i
+            child = local & ~adj[bit.bit_length() - 1]  # parts hold no self-loop
+            kmin = need - r_size - 1
+            # no key below kmin 3: such a subtree always appends a leaf (at 2
+            # the child has two color classes, so a complement edge to take)
+            c_key = (child, kmin) if kmin > 2 else None
+            skip = memo.get(c_key, 0) if c_key else 0
+            nodes += 1 + skip
+            if nodes > budget:  # a replay raises what its search would have
                 raise BudgetExceededError(
                     f"independent-set search exceeded {budget} nodes; alpha in [{best}, {upper}]",
-                    lower_bound=best, upper_bound=upper, nodes=nodes,
+                    lower_bound=best, upper_bound=upper, nodes=budget + 1,
                 )
-            bit = order[i]
-            v = bit.bit_length() - 1
-            frame[2], frame[5] = local ^ bit, i
-            child = (local ^ bit) & ~adj[v]
+            if skip:
+                continue
             if child:
-                c_order, c_bound = _color_bound(child, adj, bits, need - r_size - 1)
+                c_order, c_bound = _color_bound(child, adj, bits, kmin)
                 if c_order:
-                    stack.append([r_mask | bit, r_size + 1, child, c_order, c_bound, len(c_order)])
+                    stack.append([child, c_order, c_bound, len(c_order), nodes if c_key else -1, c_key])
+                    r_size += 1
             elif r_size + 1 >= need:
                 if r_size + 1 > best:
                     best, found = r_size + 1, []
-                found.append(r_mask | bit)
+                leaf = root
+                for f in stack:
+                    leaf |= f[1][f[3]]
+                    f[4] = -1
+                found.append(leaf)
                 need = best + (not ties or len(found) > cap)
     if len(found) > cap:
         raise CapExceededError(f"more than {cap} maximum independent sets", found=len(found))

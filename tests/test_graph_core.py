@@ -32,6 +32,7 @@ from hatlab.constructions import (
 from hatlab.random_subgraphs import hajnal_check
 from hatlab.rng import chance, randrange, u64
 
+import oracles
 from oracles import (
     brute_alpha,
     brute_maximal_sets,
@@ -423,11 +424,78 @@ def test_hamming_products_match_reference_search():
         lower, upper, nodes = _search_outcome(lambda: reference_search(rows, parts[-1], budget)[-1])
         got = _search_outcome(lambda: max_independent_set(G, budget=used + budget))
         assert got == (before + lower, before + upper, used + nodes) == interval
+    # From node 667 on, the first subtrees of K'(4)^2 that found nothing
+    # (39, 11 and 5 nodes) are replayed from the memo: budgets that run out
+    # at and inside them certify what searching them again would
+    G = hamming_power(kneser_hypercube(4), 2)
+    rows, allowed = complement_rows(G)
+    part = _reduced(G, allowed)[1][-1]
+    for budget in range(664, 730):
+        lower, upper, nodes = _search_outcome(lambda: reference_search(rows, part, budget)[-1])
+        got = _search_outcome(lambda: max_independent_set(G, budget=budget))
+        assert got == (15 + lower, 15 + upper, nodes), budget
     # K(6) is settled by the rules alone: no part is left to search
     G = kneser_hypercube(6)
     taken, parts = _reduced(G, G._allowed)
     assert parts == [] and taken == max_independent_set(G, budget=1).witness.bits
     assert taken.bit_count() == 32 and is_independent(G, taken)
+
+
+def _twin_graph(g):
+    """A seeded random graph with each vertex blown up into two adjacent
+    twins: branching on either twin leaves the same candidates, so the
+    subtrees that find nothing come round again."""
+    m = 14 + randrange(9, 39, g)
+    p = (0.3, 0.4, 0.5)[g % 3]
+    base = [(i, j) for i in range(m) for j in range(i + 1, m) if chance(p, 40, g, i, j)]
+    edges = [(2 * i, 2 * i + 1) for i in range(m)]
+    edges += [(2 * i + a, 2 * j + b) for i, j in base for a in (0, 1) for b in (0, 1)]
+    return make_graph(2 * m, edges)
+
+
+def _counting(monkeypatch, module, name, counts):
+    """Count the calls of ``module.name`` under ``counts[name]``."""
+    fn = getattr(module, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_replayed_subtrees_match_reference_search(monkeypatch):
+    # the replays leave every witness, interval, node count and tie list as
+    # the reference's; on a replayed graph the search colors fewer children
+    huge = 1 << 40
+    counts = dict.fromkeys(("_color_bound", "reference_color_bound"), 0)
+    _counting(monkeypatch, graph_core, "_color_bound", counts)
+    _counting(monkeypatch, oracles, "reference_color_bound", counts)
+    replayed = 0
+    for g in range(100):
+        G = _twin_graph(g)
+        rows, allowed = complement_rows(G)
+        counts.update(dict.fromkeys(counts, 0))
+        witness = reference_search(rows, allowed, huge)[-1]
+        assert _flipped_search(G, allowed, huge) == witness
+        replayed += counts["_color_bound"] < counts["reference_color_bound"]
+        for budget in range(1, 60):
+            ref = _search_outcome(lambda: reference_search(rows, allowed, budget)[-1])
+            assert _search_outcome(lambda: _flipped_search(G, allowed, budget)) == ref, (g, budget)
+        maxima = sorted(reference_search(rows, allowed, huge, witness.bit_count()))
+        assert [vs.bits for vs in enumerate_maximum_independent_sets(G)] == maxima, g
+    assert replayed >= 30, replayed
+
+
+def test_replays_save_three_quarters_of_the_colorings_on_k4_squared(monkeypatch):
+    # 100,000 nodes, 24,913 colorings: the rest of the children are read
+    # from the memo, and 99,999 are colored without it
+    counts = {"_color_bound": 0}
+    _counting(monkeypatch, graph_core, "_color_bound", counts)
+    with pytest.raises(BudgetExceededError) as exc:
+        max_independent_set(hamming_power(kneser_hypercube(4), 2), budget=100_000)
+    assert (exc.value.lower_bound, exc.value.upper_bound, exc.value.nodes) == (86, 103, 100_001)
+    assert counts["_color_bound"] == 24_913
 
 
 # -- enumeration of maximum sets ---------------------------------------------
