@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import product as iter_product
 from math import comb, inf
 from typing import Callable
@@ -86,7 +86,6 @@ def _p2(kind: str, n: int) -> Fraction:
     return exact_value_two_players(winning_family(kind, n)).value
 
 
-@lru_cache(maxsize=None)
 def _alpha_bar_power(n: int, t: int) -> Fraction:
     return max_independent_set(hamming_power(kneser_hypercube(n), t)).alpha_bar
 

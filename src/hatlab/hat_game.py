@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Sequence
 
 from .bits import iter_bits
@@ -340,9 +339,9 @@ def _best_player1_table(family: WinningFamily, budget: int) -> tuple[int, tuple[
     increasing order, on an explicit stack.  With views 0..k assigned and
     count A, each later view adds at most one to a column's cover in at
     most m = max |sets[g]| columns, so a node is cut when A + (N-1-k)*m
-    cannot beat the best count.  At k = N-2 the last view is folded: with
-    D the columns whose cover rises when bit N-1 is added, guess g wins
-    A + |sets[g] & D|.  The budget counts tables whether scored or cut.
+    cannot beat the best count; a depth N-1 node is a whole table, whose
+    count A replaces the best only when larger.  The budget counts tables
+    whether scored or cut.
     """
     N = 1 << family.n
     r = family.r
@@ -350,13 +349,11 @@ def _best_player1_table(family: WinningFamily, budget: int) -> tuple[int, tuple[
     width = max(N, 8) // 8  # bytes per column
     size = width * N
     spread = [sum(1 << (8 * width * w) for w in iter_bits(s)) for s in sets]
-    top = sum(1 << (8 * width * w) for w in range(N)) << (N - 1)
     columns = [slice(k, k + width) for k in range(0, size, width)]
-    bits = [1 << x1 for x1 in range(N)]
     cover = _Cover(sets).__getitem__
     m = max(s.bit_count() for s in sets)
-    span = [r ** (N - 1 - k) for k in range(N - 1)]  # tables below a depth-k node
-    path = [0] * (N - 1)
+    span = [r ** (N - 1 - k) for k in range(N)]  # tables below a depth-k node
+    path = [0] * N
     best_count = -1
     best_g2: tuple[int, ...] = ()
     left = budget
@@ -371,18 +368,10 @@ def _best_player1_table(family: WinningFamily, budget: int) -> tuple[int, tuple[
         packed = prefix.to_bytes(size, "little")
         A = sum(map(cover, map(packed.__getitem__, columns)))
         if A + (N - 1 - k) * m > best_count:
-            if k < N - 2:
+            if k < N - 1:
                 stack += [(k + 1, h, prefix) for h in down]
                 continue
-            raised = (prefix + top).to_bytes(size, "little")
-            before = map(cover, map(packed.__getitem__, columns))
-            after = map(cover, map(raised.__getitem__, columns))
-            D = sum(compress(bits, map(int.__lt__, before, after)))
-            gains = [(s & D).bit_count() for s in sets[:left]]
-            gain = max(gains)
-            if A + gain > best_count:
-                best_count = A + gain
-                best_g2 = (*path, gains.index(gain))
+            best_count, best_g2 = A, tuple(path)
         left -= span[k]
         if left <= 0:
             break
@@ -399,14 +388,14 @@ def exact_value_two_players(
     response wins, without building that response: a table is packed
     into one integer whose columns are player 0's per-view masks, and a
     per-call memo maps each column to its best cover.  The tables are
-    assigned view by view in lexicographic order, and a partial table is
-    cut once its best-response bound cannot beat the best count found.
-    The first table with the largest count wins; its player-0 table and
-    value come from ``best_response``.  ``budget`` counts tables in
-    lexicographic order, scored or cut; when r^(2^n) tables exceed it the
-    search stops there and returns the best of the first ``budget``
-    tables with mode "lower_bound".  Past DEFAULT_MASK_GUARD tuples it
-    raises SizeLimitError before any work.
+    assigned view by view in lexicographic order, and every node, partial
+    table or whole, is cut once its best-response bound cannot beat the
+    best count found.  The first table with the largest count wins; its
+    player-0 table and value come from ``best_response``.  ``budget``
+    counts tables in lexicographic order, scored or cut; when r^(2^n)
+    tables exceed it the search stops there and returns the best of the
+    first ``budget`` tables with mode "lower_bound".  Past
+    DEFAULT_MASK_GUARD tuples it raises SizeLimitError before any work.
     """
     if budget < 1:
         raise ValueError("budget must allow at least one table")

@@ -276,8 +276,9 @@ def _search_family(kind, n):
 def _oracle_budgets(kind, n, limit, improvements):
     """Budgets up to ``limit`` to compare the table search at: all of them,
     and one past the last table, up to n = 2; past that, each improvement's
-    index and its neighbours (budgets that end inside a folded head's
-    tails) and 200 seeded ones, which mostly end inside a cut node's span."""
+    index and its neighbours (budgets that end among the leaves of a
+    depth N-2 node) and 200 seeded ones, which mostly end inside a cut
+    node's span."""
     if n <= 2:
         return range(1, limit + 2)
     budgets = {1, limit - 1, limit}
@@ -306,10 +307,10 @@ def test_table_search_matches_packed_scan_at_every_budget(kind, n, limit):
 @pytest.mark.parametrize(
     "kind,n,budget,nodes",
     [
-        ("dictator", 3, 3**8, 690),
-        ("intersecting", 3, 4**8, 2_240),
-        ("monotone", 3, 4**8, 2_240),
-        ("dictator", 4, 20_000, 2_451),
+        ("dictator", 3, 3**8, 708),
+        ("intersecting", 3, 4**8, 2_264),
+        ("monotone", 3, 4**8, 2_264),
+        ("dictator", 4, 20_000, 2_503),
     ],
 )
 def test_table_search_node_counts_pinned(kind, n, budget, nodes):

@@ -1,4 +1,4 @@
-"""The module-level caches in `src/hatlab` are the three listed here.
+"""The module-level caches in `src/hatlab` are the two listed here.
 
 A cached module-level function keeps its results for the life of the
 process, after the call that filled it has returned.  Each one kept on
@@ -15,7 +15,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hatlab"
 EXPECTED = {
     "graph_core._bit_table",
     "rng._lanes",
-    "acceptance._alpha_bar_power",
 }
 
 
