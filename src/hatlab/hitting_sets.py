@@ -2,10 +2,12 @@
 
 ``h(G)`` is the least number of vertices meeting every maximum independent
 set of G.  The engine is enumeration-first: materialize the target sets,
-then run branch and bound on an explicit stack (branch on a smallest unhit
-set, lower-bound by a greedily packed disjoint sub-collection, seed the
-incumbent with greedy max-coverage).  Deterministic tie-breaks by least
-vertex index throughout.
+index them by vertex, then run branch and bound on an explicit stack whose
+nodes keep the unhit targets as one int mask (branch on a smallest unhit
+set; lower-bound by counting, since k vertices hit at most k times the
+largest vertex degree in the targets, and by a greedily packed disjoint
+sub-collection; seed the incumbent with greedy max-coverage).
+Deterministic tie-breaks by least vertex index throughout.
 """
 
 from __future__ import annotations
@@ -66,14 +68,13 @@ def greedy_hitting(sets: Sequence[VertexSet]) -> VertexSet:
     return VertexSet(universe, chosen)
 
 
-def _packing_bound(masks: list[int]) -> int:
-    """Size of a greedily packed pairwise-disjoint sub-collection."""
-    used = 0
+def _packing_bound(unhit: int, meets: list[int]) -> int:
+    """Size of a greedily packed pairwise-disjoint sub-collection of the
+    unhit targets, taken in index order."""
     count = 0
-    for m in masks:
-        if not m & used:
-            used |= m
-            count += 1
+    while unhit:
+        unhit &= ~meets[(unhit & -unhit).bit_length() - 1]
+        count += 1
     return count
 
 
@@ -83,18 +84,42 @@ def min_hitting_set(
     """Exact minimum hitting set of the given collection.
 
     Depth-first branch and bound on an explicit stack of (chosen mask,
-    chosen size, unhit sets) nodes; a node's children go on the stack at
-    once, first child on top.  On budget exhaustion the best hitting set
-    found so far (at worst the greedy seed) is returned with ``exact=False``.
-    The collection is checked as ``greedy_hitting`` checks it.
+    chosen size, unhit-target mask) nodes.  The targets are indexed once
+    per call: ``occ[v]`` masks those containing v, ``meets[i]`` those
+    sharing a vertex with target i, and ``groups`` holds them by size.  A
+    child drops ``occ[v]`` from its parent's unhit mask, and the pivot is a
+    smallest unhit target, first on ties.  A node is pruned unless it can
+    still beat the best: k more vertices hit at most k * max_v |occ[v]|
+    unhit targets (the counting bound), and each target of a greedily
+    packed disjoint sub-collection needs a vertex of its own (the packing
+    bound).  A node's children go on the stack at once, first child on
+    top.  On budget exhaustion the best hitting set found so far (at worst
+    the greedy seed) is returned with ``exact=False``.  The collection is
+    checked as ``greedy_hitting`` checks it.
     """
     greedy = greedy_hitting(sets)
     masks = [s.bits for s in sets]
+    occ = [0] * greedy.n
+    by_size: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        for v in iter_bits(m):
+            occ[v] |= bit
+        by_size[m.bit_count()] = by_size.get(m.bit_count(), 0) | bit
+    meets = []
+    for m in masks:
+        near = 0
+        for v in iter_bits(m):
+            near |= occ[v]
+        meets.append(near)
+    groups = [by_size[size] for size in sorted(by_size)]
+    degree = max(o.bit_count() for o in occ)
     best_mask = greedy.bits
     best_size = len(greedy)
-    root_cert = _packing_bound(masks)
+    everything = (1 << len(masks)) - 1
+    root_cert = _packing_bound(everything, meets)
     nodes = 0
-    stack = [(0, 0, masks)]
+    stack = [(0, 0, everything)]
     while stack:
         chosen_mask, chosen_size, unhit = stack.pop()
         nodes += 1
@@ -105,12 +130,18 @@ def min_hitting_set(
                 best_size = chosen_size
                 best_mask = chosen_mask
             continue
-        if chosen_size + _packing_bound(unhit) >= best_size:
+        if chosen_size - (-unhit.bit_count() // degree) >= best_size:
+            continue
+        if chosen_size + _packing_bound(unhit, meets) >= best_size:
             continue
         # branch on the elements of a smallest unhit set (first on ties)
-        pivot = min(unhit, key=lambda m: m.bit_count())
-        for bit in reversed([1 << v for v in iter_bits(pivot)]):
-            stack.append((chosen_mask | bit, chosen_size + 1, [m for m in unhit if not m & bit]))
+        for group in groups:
+            smallest = unhit & group
+            if smallest:
+                break
+        pivot = masks[(smallest & -smallest).bit_length() - 1]
+        for v in reversed(list(iter_bits(pivot))):
+            stack.append((chosen_mask | 1 << v, chosen_size + 1, unhit & ~occ[v]))
     return HittingSetResult(
         h=best_size,
         witness=VertexSet(greedy.n, best_mask),

@@ -8,10 +8,11 @@ tie-breaks: the recursive blocker and hitting-set searches, the MIS
 search before its root reduction, and the two-player table search that
 scored each table with a full best response, then with a packed count
 (``packed_table_improvements``).  ``reference_min_hitting_set`` reuses
-the package's greedy seed and packing bound, and
-``reference_exact_value_two_players`` its ``best_response``, which they
-do not test.  ``reference_gnp`` draws G(n, p) one scalar ``chance`` per
-pair, as ``random_gnp`` did before it drew a row of coins per pass.
+the package's greedy seed, and ``reference_exact_value_two_players`` its
+``best_response``, which they do not test; the hitting-set oracle keeps
+its own packing bound over lists of unhit sets.  ``reference_gnp`` draws
+G(n, p) one scalar ``chance`` per pair, as ``random_gnp`` did before it
+drew a row of coins per pass.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from hatlab.hat_game import (
 from hatlab.hitting_sets import (
     DEFAULT_HIT_BUDGET,
     HittingSetResult,
-    _packing_bound,
     greedy_hitting,
 )
 from hatlab.rng import chance
@@ -437,14 +437,32 @@ def reference_verify_blocker(
     return VerifyResult(True, None, nodes)
 
 
+def _reference_packing_bound(masks: list[int]) -> int:
+    """Size of a greedily packed pairwise-disjoint sub-collection, taken in
+    list order."""
+    used = 0
+    count = 0
+    for m in masks:
+        if not m & used:
+            used |= m
+            count += 1
+    return count
+
+
 def reference_min_hitting_set(
-    sets: Sequence[VertexSet], universe: int, budget: int = DEFAULT_HIT_BUDGET
+    sets: Sequence[VertexSet],
+    universe: int,
+    budget: int = DEFAULT_HIT_BUDGET,
+    counting_bound: bool = False,
 ) -> HittingSetResult:
     """Exact minimum hitting set of the given collection.
 
-    The recursive search that ``hatlab.hitting_sets.min_hitting_set``
-    replaced: the same node order, pruning test, node count, witness and
-    certificate.
+    The recursive search over lists of unhit sets that
+    ``hatlab.hitting_sets.min_hitting_set`` replaced: the same node order,
+    pruning test, node count, witness and certificate.  With
+    ``counting_bound`` a node is also pruned when ``chosen_size +
+    ceil(len(unhit) / delta) >= best_size``, delta being the most targets
+    any one vertex meets at the root, as the package's search prunes.
 
     On budget exhaustion the best hitting set found so far (at worst the
     greedy seed) is returned with ``exact=False``.
@@ -458,7 +476,8 @@ def reference_min_hitting_set(
     greedy = greedy_hitting(sets)
     best_mask = greedy.bits
     best_size = len(greedy)
-    root_cert = _packing_bound(masks)
+    root_cert = _reference_packing_bound(masks)
+    delta = max(sum(1 for m in masks if (m >> v) & 1) for v in range(universe))
     nodes = 0
     exhausted = False
 
@@ -475,7 +494,9 @@ def reference_min_hitting_set(
                 best_size = chosen_size
                 best_mask = chosen_mask
             return
-        if chosen_size + _packing_bound(unhit) >= best_size:
+        if counting_bound and chosen_size + -(-len(unhit) // delta) >= best_size:
+            return
+        if chosen_size + _reference_packing_bound(unhit) >= best_size:
             return
         # branch on the elements of a smallest unhit set (first on ties)
         pivot = min(unhit, key=lambda m: m.bit_count())

@@ -312,6 +312,7 @@ def test_table_search_matches_packed_scan_at_every_budget(kind, n, limit):
         ("monotone", 3, 4**8, 2_264),
         ("dictator", 4, 20_000, 2_503),
     ],
+    ids=("dictator-3", "intersecting-3", "monotone-3", "dictator-4"),
 )
 def test_table_search_node_counts_pinned(kind, n, budget, nodes):
     # a looser cut (bound < best) finds the same tables in more nodes

@@ -65,31 +65,83 @@ def test_matches_brute_force_on_corpus():
         assert res.lower_bound_cert <= res.h
 
 
+def test_c5_closes_at_the_root():
+    # every vertex meets two of the five targets, so three vertices are
+    # needed, which the greedy seed already holds
+    res = min_hitting_set(enumerate_maximum_independent_sets(C5))
+    assert (res.h, res.exact, res.nodes) == (3, True, 1)
+
+
 def test_budget_exhaustion_returns_inexact_upper_bound():
-    sets = enumerate_maximum_independent_sets(C5)
+    sets = enumerate_maximum_independent_sets(shift_graph(3))
     res = min_hitting_set(sets, budget=2)
-    assert not res.exact
+    assert (res.h, res.exact, res.nodes) == (6, False, 3)
     assert all(s.bits & res.witness.bits for s in sets)
     assert res.h >= min_hitting_set(sets).h
+
+
+def test_shift4_search_pinned():
+    res = min_hitting_set(enumerate_maximum_independent_sets(shift_graph(4)))
+    assert (res.h, res.nodes, res.exact, res.witness.bits) == (5, 15_537, True, 2155905160)
 
 
 def _outcome(res):
     return (res.h, res.witness.bits, res.nodes, res.exact, res.lower_bound_cert, res.num_targets)
 
 
-def test_search_matches_reference_recursion():
-    exact_seen = set()
+def _answer(res):
+    """The outcome without its node count."""
+    return (res.h, res.witness.bits, res.exact, res.lower_bound_cert, res.num_targets)
+
+
+def _random_collections():
+    """60 collections of 1-20 sets of 1-4 vertices on 4-14 vertices."""
     for c in range(60):
         universe = 4 + randrange(11, 31, c, 0)
         sets = []
         for j in range(1 + randrange(20, 31, c, 1)):
             size = 1 + randrange(4, 31, c, 2, j)
             sets.append(vs(universe, *(randrange(universe, 31, c, 3, j, k) for k in range(size))))
+        yield universe, sets
+
+
+def test_search_matches_reference_recursion():
+    exact_seen = set()
+    for universe, sets in _random_collections():
         for budget in (1, 3, 10, 40, 200, 5_000_000):
             got = min_hitting_set(sets, budget=budget)
-            assert _outcome(got) == _outcome(reference_min_hitting_set(sets, universe, budget=budget))
+            want = reference_min_hitting_set(sets, universe, budget=budget, counting_bound=True)
+            assert _outcome(got) == _outcome(want)
             exact_seen.add(got.exact)
     assert exact_seen == {True, False}
+
+
+def _corpus():
+    """The random collections, then C5's, shift:2's, shift:3's and
+    cayley:4,1's maximum independent sets."""
+    yield from _random_collections()
+    for G in (C5, shift_graph(2), shift_graph(3), cayley_distance_graph(4, 1)):
+        yield G.n, enumerate_maximum_independent_sets(G)
+
+
+def test_counting_bound_keeps_the_answer_of_the_bound_free_search():
+    # a valid bound prunes only subtrees without a strictly smaller hitting
+    # set, so the same improvements happen in the same order, in no more nodes
+    fewer = 0
+    for universe, sets in _corpus():
+        got = min_hitting_set(sets)
+        plain = reference_min_hitting_set(sets, universe)
+        assert got.exact and _answer(got) == _answer(plain)
+        assert got.nodes <= plain.nodes
+        fewer += got.nodes < plain.nodes
+    assert fewer > 0
+
+
+def test_root_counting_bound_never_exceeds_h():
+    for universe, sets in _corpus():
+        masks = [s.bits for s in sets]
+        delta = max(sum(1 for m in masks if (m >> v) & 1) for v in range(universe))
+        assert -(-len(masks) // delta) <= brute_min_hitting(masks, universe)
 
 
 def test_deep_search_needs_no_recursion():
@@ -103,7 +155,9 @@ def test_deep_search_needs_no_recursion():
         assert sys.getrecursionlimit() == 200
     finally:
         sys.setrecursionlimit(limit)
-    assert _outcome(res) == _outcome(reference_min_hitting_set(sets, 360, budget=2000))
+    assert _outcome(res) == _outcome(
+        reference_min_hitting_set(sets, 360, budget=2000, counting_bound=True)
+    )
     assert (res.h, res.nodes, res.exact, res.lower_bound_cert) == (240, 2001, False, 120)
 
 
