@@ -35,7 +35,7 @@ from .errors import BudgetExceededError, CapExceededError, GraphFormatError, Siz
 DEFAULT_NODE_BUDGET = 20_000_000
 DEFAULT_ENUM_CAP = 200_000
 DEFAULT_SIZE_LIMIT = 4096  # vertices, for graph files and every construction
-_MEMO_CAP = 64  # failed subtrees a search remembers before it forgets them all
+_MEMO_CAP = 64  # failed subtrees a search remembers; the least recently used goes first
 
 
 @dataclass(frozen=True)
@@ -220,19 +220,20 @@ def _color_bound(
     and its complement neighbours.  A vertex is recorded as its entry of
     ``bits`` (``_bit_table(len(adj))``), shared, so no label int is kept.
     """
+    color, rest = 1, P
+    while rest and color < kmin:
+        v = rest.bit_length() - 1
+        rest ^= bits[v]
+        q = rest & adj[v]
+        while q:
+            v = q.bit_length() - 1
+            rest ^= bits[v]
+            q &= adj[v]
+        color += 1
     order: list[int] = []
     bound: list[int] = []
-    color = 0
-    rest = P
     while rest:
-        color += 1
         q = rest
-        if color < kmin:
-            while q:
-                v = q.bit_length() - 1
-                rest ^= bits[v]
-                q &= adj[v]
-            continue
         while q:
             v = q.bit_length() - 1
             bit = bits[v]
@@ -240,6 +241,7 @@ def _color_bound(
             q &= adj[v]
             order.append(bit)
             bound.append(color)
+        color += 1
     return order, bound
 
 
@@ -322,7 +324,8 @@ def _search(
     # the same key would count the same nodes and append nothing.  A frame's
     # start is the node count at its push, or -1 for a root, a child without
     # a key, or once a leaf is appended below it; a frame popped with
-    # start >= 0 stores its subtree's count.  Emptied when full.
+    # start >= 0 stores its subtree's count.  When full, the memo drops its
+    # least recently used key.
     memo: dict[tuple[int, int], int] = {}
     bits = _bit_table(len(adj)) if parts else ()
     roots = [_color_bound(part, adj, bits, 0) for part in parts]
@@ -341,7 +344,7 @@ def _search(
                 r_size -= 1
                 if start >= 0:
                     if len(memo) >= _MEMO_CAP:
-                        memo.clear()
+                        del memo[next(iter(memo))]
                     memo[key] = nodes - start
                 continue
             bit = order[i]
@@ -352,7 +355,7 @@ def _search(
             # no key below kmin 3: such a subtree always appends a leaf (at 2
             # the child has two color classes, so a complement edge to take)
             c_key = (child, kmin) if kmin > 2 else None
-            skip = memo.get(c_key, 0) if c_key else 0
+            skip = memo.pop(c_key, 0) if c_key else 0
             nodes += 1 + skip
             if nodes > budget:  # a replay raises what its search would have
                 raise BudgetExceededError(
@@ -360,6 +363,7 @@ def _search(
                     lower_bound=best, upper_bound=upper, nodes=budget + 1,
                 )
             if skip:
+                memo[c_key] = skip  # now the most recently used
                 continue
             if child:
                 c_order, c_bound = _color_bound(child, adj, bits, kmin)

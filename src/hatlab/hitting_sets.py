@@ -68,7 +68,22 @@ def greedy_hitting(sets: Sequence[VertexSet]) -> VertexSet:
     return VertexSet(universe, chosen)
 
 
-def _packing_bound(unhit: int, meets: list[int]) -> int:
+class _Meets(dict):
+    """``meets[i]``, the mask of the targets sharing a vertex with target i,
+    built the first time a packing picks target i."""
+
+    def __init__(self, masks: list[int], occ: list[int]):
+        self.masks, self.occ = masks, occ
+
+    def __missing__(self, i: int) -> int:
+        near = 0
+        for v in iter_bits(self.masks[i]):
+            near |= self.occ[v]
+        self[i] = near
+        return near
+
+
+def _packing_bound(unhit: int, meets: _Meets) -> int:
     """Size of a greedily packed pairwise-disjoint sub-collection of the
     unhit targets, taken in index order."""
     count = 0
@@ -86,16 +101,17 @@ def min_hitting_set(
     Depth-first branch and bound on an explicit stack of (chosen mask,
     chosen size, unhit-target mask) nodes.  The targets are indexed once
     per call: ``occ[v]`` masks those containing v, ``meets[i]`` those
-    sharing a vertex with target i, and ``groups`` holds them by size.  A
-    child drops ``occ[v]`` from its parent's unhit mask, and the pivot is a
-    smallest unhit target, first on ties.  A node is pruned unless it can
-    still beat the best: k more vertices hit at most k * max_v |occ[v]|
-    unhit targets (the counting bound), and each target of a greedily
-    packed disjoint sub-collection needs a vertex of its own (the packing
-    bound).  A node's children go on the stack at once, first child on
-    top.  On budget exhaustion the best hitting set found so far (at worst
-    the greedy seed) is returned with ``exact=False``.  The collection is
-    checked as ``greedy_hitting`` checks it.
+    sharing a vertex with target i (built when a packing first picks i),
+    and ``groups`` holds them by size.  A child drops ``occ[v]`` from its
+    parent's unhit mask, and the pivot is a smallest unhit target, first on
+    ties.  A node is pruned unless it can still beat the best: k more
+    vertices hit at most k * max_v |occ[v]| unhit targets (the counting
+    bound), and each target of a greedily packed disjoint sub-collection
+    needs a vertex of its own (the packing bound).  A node's children go on
+    the stack at once, first child on top.  On budget exhaustion the best
+    hitting set found so far (at worst the greedy seed) is returned with
+    ``exact=False``.  The collection is checked as ``greedy_hitting``
+    checks it.
     """
     greedy = greedy_hitting(sets)
     masks = [s.bits for s in sets]
@@ -106,12 +122,7 @@ def min_hitting_set(
         for v in iter_bits(m):
             occ[v] |= bit
         by_size[m.bit_count()] = by_size.get(m.bit_count(), 0) | bit
-    meets = []
-    for m in masks:
-        near = 0
-        for v in iter_bits(m):
-            near |= occ[v]
-        meets.append(near)
+    meets = _Meets(masks, occ)
     groups = [by_size[size] for size in sorted(by_size)]
     degree = max(o.bit_count() for o in occ)
     best_mask = greedy.bits

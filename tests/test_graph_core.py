@@ -464,14 +464,15 @@ def _counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_replayed_subtrees_match_reference_search(monkeypatch):
-    # the replays leave every witness, interval, node count and tie list as
-    # the reference's; on a replayed graph the search colors fewer children
+def _twin_corpus_matches_reference_search(monkeypatch):
+    """On the twin graphs, every witness, interval, node count and tie list
+    is the reference's; returns how many graphs the search colored fewer
+    children of, and its colorings in their unbudgeted searches."""
     huge = 1 << 40
     counts = dict.fromkeys(("_color_bound", "reference_color_bound"), 0)
     _counting(monkeypatch, graph_core, "_color_bound", counts)
     _counting(monkeypatch, oracles, "reference_color_bound", counts)
-    replayed = 0
+    replayed = colorings = 0
     for g in range(100):
         G = _twin_graph(g)
         rows, allowed = complement_rows(G)
@@ -479,23 +480,42 @@ def test_replayed_subtrees_match_reference_search(monkeypatch):
         witness = reference_search(rows, allowed, huge)[-1]
         assert _flipped_search(G, allowed, huge) == witness
         replayed += counts["_color_bound"] < counts["reference_color_bound"]
+        colorings += counts["_color_bound"]
         for budget in range(1, 60):
             ref = _search_outcome(lambda: reference_search(rows, allowed, budget)[-1])
             assert _search_outcome(lambda: _flipped_search(G, allowed, budget)) == ref, (g, budget)
         maxima = sorted(reference_search(rows, allowed, huge, witness.bit_count()))
         assert [vs.bits for vs in enumerate_maximum_independent_sets(G)] == maxima, g
+    return replayed, colorings
+
+
+def test_replayed_subtrees_match_reference_search(monkeypatch):
+    # the replays leave the search as the reference's; on a replayed graph
+    # the search colors fewer children
+    replayed, _ = _twin_corpus_matches_reference_search(monkeypatch)
     assert replayed >= 30, replayed
 
 
+@pytest.mark.parametrize("cap, colorings", [(1, 1361), (2, 1325), (3, 1315)], ids=["1", "2", "3"])
+def test_evicting_memo_matches_reference_search(monkeypatch, cap, colorings):
+    # a memo this small evicts on nearly every store and moves its key on
+    # every hit; whichever keys it keeps, the search is the reference's.
+    # 1,315 colorings is what an unbounded memo reads; emptying the memo
+    # when full reads 1,335 at cap 3, and dropping the newest key 1,323 and
+    # 1,319 at caps 2 and 3
+    monkeypatch.setattr(graph_core, "_MEMO_CAP", cap)
+    assert _twin_corpus_matches_reference_search(monkeypatch)[1] == colorings
+
+
 def test_replays_save_three_quarters_of_the_colorings_on_k4_squared(monkeypatch):
-    # 100,000 nodes, 24,913 colorings: the rest of the children are read
+    # 100,000 nodes, 8,491 colorings: the rest of the children are read
     # from the memo, and 99,999 are colored without it
     counts = {"_color_bound": 0}
     _counting(monkeypatch, graph_core, "_color_bound", counts)
     with pytest.raises(BudgetExceededError) as exc:
         max_independent_set(hamming_power(kneser_hypercube(4), 2), budget=100_000)
     assert (exc.value.lower_bound, exc.value.upper_bound, exc.value.nodes) == (86, 103, 100_001)
-    assert counts["_color_bound"] == 24_913
+    assert counts["_color_bound"] == 8_491
 
 
 # -- enumeration of maximum sets ---------------------------------------------
