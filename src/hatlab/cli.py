@@ -413,6 +413,11 @@ def cmd_partition_bound(args, em: Emitter) -> None:
 def cmd_hitting(args, em: Emitter) -> None:
     G, labels = load_graph(args)
     res = h_of_graph(G, threshold_eps=args.threshold, **given(args, "cap", "budget"))
+    if not res.exact:
+        raise BudgetExceededError(
+            f"hitting-set search exceeded its budget; h in [{res.lower_bound_cert}, {res.h}]",
+            lower_bound=res.lower_bound_cert, upper_bound=res.h, nodes=res.nodes,
+        )
     witness = list(res.witness.indices())
     values = {
         "h": res.h,

@@ -6,12 +6,13 @@ index them by vertex, then run branch and bound on an explicit stack whose
 nodes keep the unhit targets as one int mask (branch on a smallest unhit
 set; lower-bound by counting, since k vertices hit at most k times the
 largest vertex degree in the targets, and by a greedily packed disjoint
-sub-collection; seed the incumbent with greedy max-coverage).
-Deterministic tie-breaks by least vertex index throughout.
+sub-collection).  The incumbent is seeded by greedy max-coverage on the
+same index.  Deterministic tie-breaks by least vertex index throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,32 +41,8 @@ class HittingSetResult:
 
 
 def greedy_hitting(sets: Sequence[VertexSet]) -> VertexSet:
-    """Repeatedly pick the vertex hitting the most unhit sets (least index on ties).
-
-    The collection must be nonempty, hold no empty set, and keep every set
-    on one vertex count, the universe.
-    """
-    if len({s.n for s in sets}) != 1:
-        raise ValueError("need a nonempty collection of target sets on one vertex count")
-    if any(not s.bits for s in sets):
-        raise ValueError("an empty target set cannot be hit")
-    universe = sets[0].n
-    chosen = 0
-    unhit = [s.bits for s in sets]
-    while unhit:
-        best_v = -1
-        best_cnt = 0
-        counts = [0] * universe
-        for m in unhit:
-            for v in iter_bits(m):
-                counts[v] += 1
-        for v in range(universe):
-            if counts[v] > best_cnt:
-                best_cnt = counts[v]
-                best_v = v
-        chosen |= 1 << best_v
-        unhit = [m for m in unhit if not (m >> best_v) & 1]
-    return VertexSet(universe, chosen)
+    """The greedy seed of ``min_hitting_set``, its witness at budget 0."""
+    return min_hitting_set(sets, budget=0).witness
 
 
 class _Meets(dict):
@@ -108,14 +85,19 @@ def min_hitting_set(
     vertices hit at most k * max_v |occ[v]| unhit targets (the counting
     bound), and each target of a greedily packed disjoint sub-collection
     needs a vertex of its own (the packing bound).  A node's children go on
-    the stack at once, first child on top.  On budget exhaustion the best
-    hitting set found so far (at worst the greedy seed) is returned with
-    ``exact=False``.  The collection is checked as ``greedy_hitting``
-    checks it.
+    the stack at once, first child on top.  The first incumbent is the
+    greedy seed, which adds the vertex in the most unhit targets (least
+    index on ties) until all are hit.  On budget exhaustion the best found
+    is returned with ``exact=False``; the certificate is the larger root
+    bound.  The collection must be nonempty, hold no empty set, and keep
+    every set on one vertex count.
     """
-    greedy = greedy_hitting(sets)
+    if len({s.n for s in sets}) != 1:
+        raise ValueError("need a nonempty collection of target sets on one vertex count")
+    if any(not s.bits for s in sets):
+        raise ValueError("an empty target set cannot be hit")
     masks = [s.bits for s in sets]
-    occ = [0] * greedy.n
+    occ = [0] * sets[0].n
     by_size: dict[int, int] = {}
     for i, m in enumerate(masks):
         bit = 1 << i
@@ -124,11 +106,17 @@ def min_hitting_set(
         by_size[m.bit_count()] = by_size.get(m.bit_count(), 0) | bit
     meets = _Meets(masks, occ)
     groups = [by_size[size] for size in sorted(by_size)]
-    degree = max(o.bit_count() for o in occ)
-    best_mask = greedy.bits
-    best_size = len(greedy)
+    degree = max(map(int.bit_count, occ))
     everything = (1 << len(masks)) - 1
-    root_cert = _packing_bound(everything, meets)
+    best_mask = 0
+    unhit = everything
+    while unhit:
+        counts = [*map(int.bit_count, map(unhit.__and__, occ))]
+        v = counts.index(max(counts))
+        best_mask |= 1 << v
+        unhit &= ~occ[v]
+    best_size = best_mask.bit_count()
+    root_cert = max(_packing_bound(everything, meets), -(-len(masks) // degree))
     nodes = 0
     stack = [(0, 0, everything)]
     while stack:
@@ -138,8 +126,7 @@ def min_hitting_set(
             break
         if not unhit:
             if chosen_size < best_size:
-                best_size = chosen_size
-                best_mask = chosen_mask
+                best_size, best_mask = chosen_size, chosen_mask
             continue
         if chosen_size - (-unhit.bit_count() // degree) >= best_size:
             continue
@@ -155,7 +142,7 @@ def min_hitting_set(
             stack.append((chosen_mask | 1 << v, chosen_size + 1, unhit & ~occ[v]))
     return HittingSetResult(
         h=best_size,
-        witness=VertexSet(greedy.n, best_mask),
+        witness=VertexSet(sets[0].n, best_mask),
         num_targets=len(sets),
         lower_bound_cert=root_cert,
         exact=nodes <= budget,
@@ -181,10 +168,8 @@ def h_of_graph(
     if threshold_eps is None:
         targets = enumerate_maximum_independent_sets(G, cap=cap, budget=budget)
     else:
-        alpha = max_independent_set(G, budget=budget).alpha
-        need = alpha - threshold_eps * G.n
-        min_size = max(0, -((-need.numerator) // need.denominator)) if need > 0 else 0
-        targets = enumerate_maximal_independent_sets(G, min_size=min_size, cap=cap)
+        need = max_independent_set(G, budget=budget).alpha - threshold_eps * G.n
+        targets = enumerate_maximal_independent_sets(G, min_size=max(0, math.ceil(need)), cap=cap)
     return min_hitting_set(targets, budget=budget)
 
 

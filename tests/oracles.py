@@ -7,12 +7,12 @@ searches are the package's earlier versions, kept to pin node counts and
 tie-breaks: the recursive blocker and hitting-set searches, the MIS
 search before its root reduction, and the two-player table search that
 scored each table with a full best response, then with a packed count
-(``packed_table_improvements``).  ``reference_min_hitting_set`` reuses
-the package's greedy seed, and ``reference_exact_value_two_players`` its
-``best_response``, which they do not test; the hitting-set oracle keeps
-its own packing bound over lists of unhit sets.  ``reference_gnp`` draws
-G(n, p) one scalar ``chance`` per pair, as ``random_gnp`` did before it
-drew a row of coins per pass.
+(``packed_table_improvements``).  ``reference_exact_value_two_players``
+reuses the package's ``best_response``, which it does not test.  The
+hitting-set oracle keeps its own greedy seed (``reference_greedy_hitting``,
+which recounts the unhit sets each round) and packing bound over lists of
+unhit sets.  ``reference_gnp`` draws G(n, p) one scalar ``chance`` per
+pair, as ``random_gnp`` did before it drew a row of coins per pass.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from hatlab.hat_game import (
     WinningFamily,
     best_response,
 )
-from hatlab.hitting_sets import (
-    DEFAULT_HIT_BUDGET,
-    HittingSetResult,
-    greedy_hitting,
-)
+from hatlab.hitting_sets import DEFAULT_HIT_BUDGET, HittingSetResult
 from hatlab.rng import chance
 
 
@@ -437,6 +433,28 @@ def reference_verify_blocker(
     return VerifyResult(True, None, nodes)
 
 
+def reference_greedy_hitting(sets: Sequence[VertexSet]) -> VertexSet:
+    """Repeatedly pick the vertex hitting the most unhit sets (least index
+    on ties), counting every unhit set's vertices afresh each round."""
+    universe = sets[0].n
+    chosen = 0
+    unhit = [s.bits for s in sets]
+    while unhit:
+        best_v = -1
+        best_cnt = 0
+        counts = [0] * universe
+        for m in unhit:
+            for v in iter_bits(m):
+                counts[v] += 1
+        for v in range(universe):
+            if counts[v] > best_cnt:
+                best_cnt = counts[v]
+                best_v = v
+        chosen |= 1 << best_v
+        unhit = [m for m in unhit if not (m >> best_v) & 1]
+    return VertexSet(universe, chosen)
+
+
 def _reference_packing_bound(masks: list[int]) -> int:
     """Size of a greedily packed pairwise-disjoint sub-collection, taken in
     list order."""
@@ -459,10 +477,12 @@ def reference_min_hitting_set(
 
     The recursive search over lists of unhit sets that
     ``hatlab.hitting_sets.min_hitting_set`` replaced: the same node order,
-    pruning test, node count, witness and certificate.  With
-    ``counting_bound`` a node is also pruned when ``chosen_size +
-    ceil(len(unhit) / delta) >= best_size``, delta being the most targets
-    any one vertex meets at the root, as the package's search prunes.
+    pruning test, node count and witness.  With ``counting_bound`` a node
+    is also pruned when ``chosen_size + ceil(len(unhit) / delta) >=
+    best_size``, delta being the most targets any one vertex meets at the
+    root, as the package's search prunes.  The certificate is the larger
+    of the root packing and ceil(len(sets) / delta), with or without
+    ``counting_bound``.
 
     On budget exhaustion the best hitting set found so far (at worst the
     greedy seed) is returned with ``exact=False``.
@@ -473,11 +493,11 @@ def reference_min_hitting_set(
     if any(m == 0 for m in masks):
         raise ValueError("an empty target set cannot be hit")
 
-    greedy = greedy_hitting(sets)
+    greedy = reference_greedy_hitting(sets)
     best_mask = greedy.bits
     best_size = len(greedy)
-    root_cert = _reference_packing_bound(masks)
     delta = max(sum(1 for m in masks if (m >> v) & 1) for v in range(universe))
+    root_cert = max(_reference_packing_bound(masks), -(-len(masks) // delta))
     nodes = 0
     exhausted = False
 

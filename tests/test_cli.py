@@ -658,6 +658,14 @@ def test_budget_exhaustion_names_certified_interval(capsys):
     assert "exceeded 1000 nodes; alpha in [86, 103]" in err
 
 
+def test_hitting_budget_exhaustion_names_certified_interval(capsys):
+    # shift:4's enumeration finishes in 2,540 nodes, so only the hitting-set
+    # search runs out; this once exited 0 with h 6 and "exact": false
+    status, records = run_capture(["hitting", "--construct", "shift:4", "--budget", "5000"])
+    assert (status, records) == (1, [])
+    assert "hitting-set search exceeded its budget; h in [4, 6]" in capsys.readouterr().err
+
+
 def test_threshold_targets_stop_at_the_node_budget(monkeypatch, capsys):
     # the maximal-set enumeration behind --threshold reads the library budget
     argv = ["hitting", "--construct", "shift:3", "--threshold", "1/2"]

@@ -13,7 +13,7 @@ from hatlab.hitting_sets import (
 )
 from hatlab.rng import randrange
 
-from oracles import brute_min_hitting, reference_min_hitting_set
+from oracles import brute_min_hitting, reference_greedy_hitting, reference_min_hitting_set
 
 C5 = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
 
@@ -83,6 +83,8 @@ def test_budget_exhaustion_returns_inexact_upper_bound():
 def test_shift4_search_pinned():
     res = min_hitting_set(enumerate_maximum_independent_sets(shift_graph(4)))
     assert (res.h, res.nodes, res.exact, res.witness.bits) == (5, 15_537, True, 2155905160)
+    # 70 targets, each vertex in at most 20: the counting bound beats the packing's 2
+    assert res.lower_bound_cert == 4
 
 
 def _outcome(res):
@@ -158,7 +160,8 @@ def test_deep_search_needs_no_recursion():
     assert _outcome(res) == _outcome(
         reference_min_hitting_set(sets, 360, budget=2000, counting_bound=True)
     )
-    assert (res.h, res.nodes, res.exact, res.lower_bound_cert) == (240, 2001, False, 120)
+    # 360 targets, each vertex in two: the counting bound, 180, beats the packing's 120
+    assert (res.h, res.nodes, res.exact, res.lower_bound_cert) == (240, 2001, False, 180)
 
 
 # -- greedy ------------------------------------------------------------------
@@ -169,6 +172,15 @@ def test_greedy_c5_between_h_and_four():
     g = greedy_hitting(sets)
     assert 3 <= len(g) <= 4
     assert all(s.bits & g.bits for s in sets)
+
+
+def test_greedy_is_the_reference_greedy():
+    # the seed is computed on the search's target index; the reference
+    # recounts every unhit set's vertices each round
+    collections = [sets for _, sets in _corpus()]
+    collections += [enumerate_maximum_independent_sets(shift_graph(k)) for k in (1, 2, 3, 4)]
+    for sets in collections:
+        assert greedy_hitting(sets) == reference_greedy_hitting(sets)
 
 
 def test_greedy_single_and_nested():
@@ -205,6 +217,8 @@ def test_threshold_flag_widens_targets():
     assert plain.num_targets == 1 and plain.h == 1
     assert widened.num_targets == 2  # {leaves} and {center}
     assert widened.h == 2
+    # alpha - eps * n below zero asks for no least size: every maximal set
+    assert h_of_graph(star, threshold_eps=Fraction(1)).num_targets == 2
 
 
 # -- covering codes ----------------------------------------------------------
