@@ -11,8 +11,9 @@ size reached, in the same single pass), so ``subset_alpha`` searches G[W]
 in place; no search recurses or touches the interpreter's recursion limit.
 Below the root a node records only the color classes that can branch
 (k_min, as in MCS and BBMC), which leaves the search tree unchanged.
-The maximum search first takes what the degree <= 1 rules settle, then
-searches the components of the rest in turn (Akiba & Iwata 2016; KaMIS).
+The maximum search first takes what the degree <= 1 rules settle, in one
+lowest-first fixpoint over every candidate, then searches the components of
+the rest in turn (Akiba & Iwata 2016; KaMIS).
 A subtree that found nothing is replayed from a small memo, by its node
 count, when the same candidates and need come round again.
 
@@ -248,22 +249,13 @@ def _color_bound(
 def _reduce(adj: Sequence[int], P: int) -> tuple[int, list[int]]:
     """Take what the degree <= 1 rules settle in G[P]; split the rest.
 
-    One scan takes the isolated vertices and notes those of degree 1.  Such a
-    v lies in a maximum set (swap its neighbour u for v): v is taken, u
-    dropped and u's neighbours checked again, to a fixpoint, lowest vertex
-    (highest flipped bit) first.  The rest comes back as its components, by
-    ascending (size, lowest vertex).
+    A vertex v with at most one neighbour u in P lies in a maximum set (swap
+    u for v): v is taken, u dropped and u's neighbours checked again.  One
+    fixpoint, seeded with all of P, checks lowest vertex (highest flipped
+    bit) first, so an isolated vertex is taken by the same test.  The rest
+    comes back as its components, by ascending (size, lowest vertex).
     """
-    taken, check, rest = 0, 0, P
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        nb = P & adj[bit.bit_length() - 1]
-        if not nb:
-            taken |= bit
-        elif not nb & (nb - 1):
-            check |= bit
-    P ^= taken
+    taken, check = 0, P
     while check:
         v = check.bit_length() - 1
         bit = 1 << v
@@ -412,13 +404,10 @@ def enumerate_maximum_independent_sets(
     rows = G._flipped
     k = len(rows) // 8
     P = _flip(G._allowed, k)
-    iso, left = 0, P
-    while left:
-        v = left.bit_length() - 1
-        bit = 1 << v
-        left ^= bit
-        if not P & rows[v]:
-            iso |= bit
+    covered = 0
+    for v in iter_bits(P):
+        covered |= rows[v]
+    iso = P & ~covered
     rest = [P ^ iso] if P ^ iso else []
     found = _search(rows, iso, rest, budget, True, cap)
     return [VertexSet(G.n, m) for m in sorted(_flip(m, k) for m in found)]
@@ -501,20 +490,16 @@ def subset_alpha(G: Graph, W: int) -> int:
 def subset_alpha_table(G: Graph) -> list[int]:
     """alpha(G[W]) for every vertex subset W, indexed by W's bit mask.
 
-    O(2^n) dynamic program; intended for n <= ~20.  Self-looped vertices
-    contribute nothing, matching the solvers above.
+    O(2^n) dynamic program; intended for n <= ~20.  A self-looped vertex
+    is worth 0 to take, so it contributes nothing, matching the solvers
+    above: alpha is monotone, and a take worth 0 never beats leaving v out.
     """
-    n = G.n
-    loops = G.loops_mask
-    closed = [G.adj[v] | (1 << v) for v in range(n)]
-    table = [0] * (1 << n)
-    for mask in range(1, 1 << n):
+    closed = [row | 1 << v for v, row in enumerate(G.adj)]
+    take = [0 if row >> v & 1 else 1 for v, row in enumerate(G.adj)]
+    table = [0] * (1 << G.n)
+    for mask in range(1, 1 << G.n):
         v = (mask & -mask).bit_length() - 1
-        without = table[mask ^ (1 << v)]
-        if (loops >> v) & 1:
-            table[mask] = without
-        else:
-            table[mask] = max(without, 1 + table[mask & ~closed[v]])
+        table[mask] = max(table[mask ^ (1 << v)], take[v] + table[mask & ~closed[v]])
     return table
 
 

@@ -260,9 +260,8 @@ def winning_set_of_strategy(
 
 def exact_value_one_player(family: WinningFamily) -> GameValue:
     """Best single-player value: the largest set measure, lowest index on ties."""
-    best = max(range(family.r), key=lambda i: (family.sets[i].bit_count(), -i))
-    value = family.measure(best)
-    return GameValue(1, family.n, family.kind, value, "exact", ((best,),))
+    table, count = _best_guesses(family, [(1 << (1 << family.n)) - 1])
+    return GameValue(1, family.n, family.kind, Fraction(count, 1 << family.n), "exact", (table,))
 
 
 def r_v_distribution(family: WinningFamily, v: int) -> tuple[int, ...]:

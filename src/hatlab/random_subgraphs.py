@@ -225,11 +225,6 @@ def _validate_partition(G: Graph, partition: Sequence[VertexSet]) -> list[int]:
     return masks
 
 
-def _index_set(family: WinningFamily, v: int) -> int:
-    """Mask of the indices of the family's winning sets that contain point v."""
-    return sum(1 << i for i in r_v_distribution(family, v))
-
-
 _BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits as compress() selectors
 
 
@@ -275,12 +270,12 @@ def partition_bound_eval(
         if samples < 1:
             raise ValueError("need samples >= 1")
         index_sets = (
-            coin_mask(r, seed, s) if family is None
-            else _index_set(family, randrange(1 << family.n, seed, s))
+            iter_bits(coin_mask(r, seed, s)) if family is None
+            else r_v_distribution(family, randrange(1 << family.n, seed, s))
             for s in range(samples)
         )
         # the parts are disjoint, so the sum of those in R is their union
-        unions = (sum(masks[i] for i in iter_bits(R)) for R in index_sets)
+        unions = (sum(masks[i] for i in R) for R in index_sets)
     else:
         raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
     return _mean_alpha(G, unions, mode)

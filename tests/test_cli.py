@@ -1,7 +1,11 @@
 import argparse
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,29 @@ def strip_volatile(records):
         rec.pop("argv", None)
         out.append(rec)
     return out
+
+
+# -- the module entry point ---------------------------------------------------
+
+
+def run_module(*args):
+    """``python -m hatlab`` in a child process, on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "hatlab", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_module_entry_point_exit_codes():
+    # 0 with one JSON record on stdout; 2 for a usage error; 1 for a search
+    # that ran out of budget, with the certified interval on stderr
+    done = run_module("alpha", "--construct", "kneser:3")
+    lines = done.stdout.splitlines()
+    assert done.returncode == 0 and len(lines) == 1
+    assert json.loads(lines[0])["values"]["alpha"] == 4
+    assert run_module("alpha", "--construct", "cayley:4").returncode == 2
+    budgeted = run_module("alpha", "--construct", "kneser:4^2", "--budget", "1000")
+    assert budgeted.returncode == 1 and "alpha in [86, 103]" in budgeted.stderr
 
 
 # -- construct specs ----------------------------------------------------------

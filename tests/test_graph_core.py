@@ -29,6 +29,7 @@ from hatlab.constructions import (
     random_gnp,
     shift_graph,
 )
+from hatlab.bits import iter_bits
 from hatlab.random_subgraphs import hajnal_check
 from hatlab.rng import chance, randrange, u64
 
@@ -351,6 +352,44 @@ def test_subset_alpha_is_the_search_on_the_induced_subgraph(monkeypatch):
             monkeypatch.undo()
             exhausted += isinstance(want, tuple)
     assert exhausted > 100
+
+
+def _components(G, U):
+    """The vertex sets of the components of G[U], by plain search."""
+    comps = []
+    while U:
+        comp = frontier = U & -U
+        while frontier:
+            reach = 0
+            for v in iter_bits(frontier):
+                reach |= G.adj[v]
+            frontier = reach & U & ~comp
+            comp |= frontier
+        comps.append(comp)
+        U ^= comp
+    return comps
+
+
+def test_reduction_keeps_alpha_and_leaves_degree_two_components():
+    # what the search relies on: the parts are the components of a union in
+    # which every vertex has at least two neighbours, taken touches none of
+    # them, and the taken vertices plus the parts' alphas make alpha(G[P])
+    brute = 0
+    for g in range(1200):
+        G = _differential_graph(g)
+        for P in [G._allowed] + [G._allowed & u64(36, g, j) for j in range(3)]:
+            taken, parts = _reduced(G, P)
+            U = sum(parts)
+            assert not taken & U and (taken | U) & ~P == 0 and is_independent(G, taken)
+            assert all((G.adj[v] & U).bit_count() >= 2 for v in iter_bits(U)), g
+            assert sorted(parts) == sorted(_components(G, U)), g
+            assert all(not G.adj[v] & U for v in iter_bits(taken)), g
+            if G.n <= 14:
+                alphas = [brute_alpha(induced_subgraph(G, VertexSet(G.n, m))) if m else 0
+                          for m in [P] + parts]
+                assert taken.bit_count() + sum(alphas[1:]) == alphas[0], g
+                brute += 1
+    assert brute > 3000
 
 
 def test_components_share_one_budget_and_sum_their_bounds():
@@ -739,6 +778,26 @@ def test_subset_alpha_table_matches_solver():
         for mask in (0, 0b101, 0b111111111, 0b100100100, 0b011011010):
             sub = induced_subgraph(G, VertexSet(9, mask))
             assert table[mask] == max_independent_set(sub).alpha == subset_alpha(G, mask)
+
+
+def test_subset_alpha_table_is_the_largest_independent_submask_of_every_mask():
+    # the largest independent submask of W is W itself, if independent, or
+    # that of W less one vertex; self-looped vertices are never in one
+    looped = 0
+    for g in range(40):
+        n = 1 + g % 10
+        p = 0.1 + g % 5 * 0.15
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if chance(p, 37, g, u, v)]
+        G = make_graph(n, edges + [(v, v) for v in range(n) if chance(0.25, 38, g, v)])
+        best = [0] * (1 << n)
+        for W in range(1, 1 << n):
+            if is_independent(G, W):
+                best[W] = W.bit_count()
+            else:
+                best[W] = max(best[W & ~(1 << v)] for v in iter_bits(W))
+        assert subset_alpha_table(G) == best, g
+        looped += G.loops_mask != 0
+    assert looped > 25
 
 
 def test_subset_alpha_rejects_out_of_range_mask():

@@ -159,9 +159,22 @@ def test_winning_set_guard():
         winning_set_of_strategy(fam, ((0,) * 4096,) * 2)
 
 
-@pytest.mark.parametrize("kind,n", [("dictator", 3), ("intersecting", 3), ("monotone", 4)])
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind, top in (
+    ("dictator", hat_game.DICTATOR_MAX_N), ("intersecting", hat_game.INTERSECTING_MAX_N),
+    ("monotone", hat_game.MONOTONE_MAX_N)) for n in range(1, top + 1)])
 def test_one_player_value_is_half(kind, n):
-    assert exact_value_one_player(winning_family(kind, n)).value == HALF
+    # every built-in set has half the cube, so the least index wins the tie
+    res = exact_value_one_player(winning_family(kind, n))
+    assert (res.value, res.witness) == (HALF, ((0,),))
+
+
+def test_one_player_guesses_the_least_index_of_a_largest_set():
+    # sets 1 and 3 hold three of the four points; set 1 comes first
+    fam = WinningFamily(2, "custom", (0b0011, 0b0111, 0b0100, 0b1110, 0b1001))
+    res = exact_value_one_player(fam)
+    assert (res.t, res.value, res.witness) == (1, Fraction(3, 4), ((1,),))
+    res = exact_value_one_player(WinningFamily(2, "custom", (0b0001, 0b1111)))
+    assert (res.value, res.witness) == (1, ((1,),))
 
 
 # -- best response and two-player values --------------------------------------

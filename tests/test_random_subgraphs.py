@@ -6,7 +6,7 @@ import pytest
 
 from hatlab.constructions import random_gnp
 from hatlab.errors import SizeLimitError
-from hatlab.graph_core import VertexSet, make_graph, max_independent_set
+from hatlab.graph_core import VertexSet, induced_subgraph, make_graph, max_independent_set
 from hatlab.hat_game import best_response, winning_family
 from hatlab.random_subgraphs import (
     alpha_star_star_exact,
@@ -17,7 +17,9 @@ from hatlab.random_subgraphs import (
     removal_trace,
 )
 
-from oracles import brute_alpha_star_star
+from hatlab.rng import randrange
+
+from oracles import brute_alpha, brute_alpha_star_star
 
 C5 = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
 SINGLE_EDGE = make_graph(2, [(0, 1)])
@@ -251,6 +253,22 @@ def test_partition_rv_sampler_matches_best_response_value():
         res = partition_bound_eval(G, parts, fam)
         _, value = best_response(fam, g2)
         assert res.estimate == value
+
+
+def test_partition_mc_with_a_family_is_the_mean_over_its_point_draws():
+    # sample s draws the point randrange(2^n, seed, s) of the family's cube;
+    # the union of the parts of the sets holding it is scored by brute force
+    G = random_gnp(12, 0.3, seed=17)
+    for kind, seed in (("dictator", 3), ("intersecting", 4)):
+        fam = winning_family(kind, 3)
+        parts = [VertexSet.from_indices(12, range(i, 12, fam.r)) for i in range(fam.r)]
+        total = 0
+        for s in range(200):
+            x = randrange(1 << fam.n, seed, s)
+            W = sum(part.bits for part, members in zip(parts, fam.sets) if members >> x & 1)
+            total += brute_alpha(induced_subgraph(G, VertexSet(12, W))) if W else 0
+        res = partition_bound_eval(G, parts, fam, samples=200, seed=seed, mode="monte_carlo")
+        assert (res.mode, res.samples, res.estimate) == ("monte_carlo", 200, float(Fraction(total, 12 * 200)))
 
 
 def test_partition_mc_agrees_with_exact():
