@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .bits import point_to_str, str_to_point
 from .errors import BudgetExceededError, RetryLimitError, SizeLimitError
 from .hat_game import WinningFamily
-from .rng import randrange
+from .rng import randrange_row
 
 DEFAULT_VERIFY_BUDGET = 5_000_000
 DEFAULT_MAX_ATTEMPTS = 10_000
@@ -118,7 +118,7 @@ def pair_blockers(n: int) -> BlockerFamily:
 
 def _sample_partition(n: int, parts: int, seed: int, attempt: int) -> tuple[int, ...] | None:
     """Uniform assignment of coordinates to parts, rejected if a part is empty."""
-    assign = tuple(randrange(parts, seed, attempt, c) for c in range(n))
+    assign = tuple(randrange_row(n, parts, seed, attempt))
     return assign if len(set(assign)) == parts else None
 
 

@@ -28,6 +28,7 @@ it, so a reported bound never rests on the evaluator.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,7 +37,7 @@ from .bits import iter_bits
 from .constructions import kneser_hypercube
 from .errors import SizeLimitError
 from .graph_core import enumerate_maximal_independent_sets
-from .rng import randrange
+from .rng import randrange_row
 
 KINDS = ("dictator", "intersecting", "monotone")
 DICTATOR_MAX_N = 16
@@ -62,9 +63,6 @@ class WinningFamily:
     @property
     def r(self) -> int:
         return len(self.sets)
-
-    def measure(self, i: int) -> Fraction:
-        return Fraction(self.sets[i].bit_count(), 1 << self.n)
 
 
 @dataclass(frozen=True)
@@ -332,8 +330,9 @@ def _best_player1_table(family: WinningFamily, budget: int) -> tuple[int, tuple[
     A table g2 is one packed integer, the sum over x_0 of
     ``spread[g2[x_0]] << x_0``, where ``spread[g]`` has bit w*W set for
     each w in ``sets[g]`` (W = max(N, 8) bits, a whole number of bytes).
-    Its W-bit column x_1 is ``_others_correct(family, ((), g2), 0)[x_1]``,
-    and the best response's count is the sum over columns of the memoised
+    Its W-bit column x_1 is ``_others_correct(family, ((), g2), 0)[x_1]``;
+    one ``struct`` unpack splits the table's bytes into its N columns, and
+    the best response's count is the sum over columns of the memoised
     cover.  The search assigns x_0 = 0, 1, ... depth first, guesses in
     increasing order, on an explicit stack.  With views 0..k assigned and
     count A, each later view adds at most one to a column's cover in at
@@ -348,7 +347,7 @@ def _best_player1_table(family: WinningFamily, budget: int) -> tuple[int, tuple[
     width = max(N, 8) // 8  # bytes per column
     size = width * N
     spread = [sum(1 << (8 * width * w) for w in iter_bits(s)) for s in sets]
-    columns = [slice(k, k + width) for k in range(0, size, width)]
+    unpack = struct.Struct("<" + f"{width}s" * N).unpack
     cover = _Cover(sets).__getitem__
     m = max(s.bit_count() for s in sets)
     span = [r ** (N - 1 - k) for k in range(N)]  # tables below a depth-k node
@@ -364,8 +363,7 @@ def _best_player1_table(family: WinningFamily, budget: int) -> tuple[int, tuple[
         nodes += 1
         path[k] = g
         prefix += spread[g] << k
-        packed = prefix.to_bytes(size, "little")
-        A = sum(map(cover, map(packed.__getitem__, columns)))
+        A = sum(map(cover, unpack(prefix.to_bytes(size, "little"))))
         if A + (N - 1 - k) * m > best_count:
             if k < N - 1:
                 stack += [(k + 1, h, prefix) for h in down]
@@ -485,7 +483,7 @@ def nested_lower_bound(
         views = N ** (k - 1)
         starts = [_lift_strategy(best_strat, N), [[0] * views for _ in range(k)]]
         for j in range(1, restarts):
-            starts.append([[randrange(r, seed, j, i, v) for v in range(views)] for i in range(k)])
+            starts.append([randrange_row(views, r, seed, j, i) for i in range(k)])
         best_val = Fraction(-1)
         for tables in starts:
             strat, history = coordinate_ascent(family, tables)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +47,7 @@ HALF = Fraction(1, 2)
 def test_dictator_family():
     fam = winning_family("dictator", 3)
     assert fam.r == 3
-    assert all(fam.measure(i) == HALF for i in range(3))
+    assert all(Fraction(fam.sets[i].bit_count(), 1 << fam.n) == HALF for i in range(3))
     # W_i is the set of words with coordinate i+1 equal to 1
     assert fam.sets[0] == sum(1 << w for w in range(8) if w & 1)
 
@@ -70,7 +71,7 @@ def test_intersecting_family_n2_structure():
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_intersecting_measures_and_maximality(n):
     fam = winning_family("intersecting", n)
-    assert all(fam.measure(i) == HALF for i in range(fam.r))
+    assert all(Fraction(fam.sets[i].bit_count(), 1 << fam.n) == HALF for i in range(fam.r))
     if n <= 3:
         assert set(fam.sets) == maximal_intersecting_families(n)
 
@@ -247,6 +248,9 @@ def _table_search_cases():
     cases += [("intersecting", 4, b) for b in (1, 7, 400)]
     cases += [("monotone", 4, b) for b in (1, 9, 400)]
     cases += [("dictator", 5, b) for b in (1, 6, 300)]
+    # 8-byte (n = 6) and 16-byte (n = 7) columns
+    cases += [("dictator", 6, b) for b in (1, 2, 5)]
+    cases += [("dictator", 7, b) for b in (1, 3)]
     return cases
 
 
@@ -383,6 +387,32 @@ def test_nested_lower_bound_witness_consistent():
     gv = nested_lower_bound(fam, 3, seed=5, restarts=2)
     _, measure = winning_set_of_strategy(fam, gv.witness)
     assert measure == gv.value
+
+
+RESTART_PINS = [
+    ("intersecting", 3, 3, 0, Fraction(59, 256), "77644e163c79e2ad"),
+    ("intersecting", 3, 3, 1, Fraction(29, 128), "b8e87f1fd5396a3c"),
+    ("intersecting", 3, 3, 7, Fraction(29, 128), "8c4d682167dc9f97"),
+    ("dictator", 3, 3, 0, Fraction(29, 128), "75517b1fcc701210"),
+    ("dictator", 3, 3, 1, Fraction(15, 64), "2fdd9cdab0a3dc46"),
+    ("dictator", 3, 3, 7, Fraction(31, 128), "a18c0c0353f19439"),
+    ("dictator", 2, 4, 0, Fraction(15, 128), "e7ffdfaab945ca72"),
+    ("dictator", 2, 4, 1, Fraction(7, 64), "711f8855f7e37bdb"),
+    ("dictator", 2, 4, 7, Fraction(31, 256), "1a88a4dcfa62b7da"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,n,t,seed,value,digest",
+    RESTART_PINS,
+    ids=[f"{kind}-{n}-t{t}-seed{seed}" for kind, n, t, seed, _, _ in RESTART_PINS],
+)
+def test_nested_lower_bound_restart_stream_pinned(kind, n, t, seed, value, digest):
+    # captured before the restart tables were drawn a row at a time; the
+    # digest is the first 16 hex digits of sha256 over repr(witness)
+    gv = nested_lower_bound(winning_family(kind, n), t, seed=seed)
+    assert gv.value == value
+    assert hashlib.sha256(repr(gv.witness).encode()).hexdigest()[:16] == digest
 
 
 def test_view_shapes_die_with_their_family():

@@ -2,7 +2,7 @@ from hatlab.constructions import random_gnp
 from hatlab.graph_core import VertexSet
 from hatlab.hat_game import winning_family
 from hatlab.random_subgraphs import alpha_star_star_mc, partition_bound_eval
-from hatlab.rng import chance, chance_mask, coin, coin_mask, randrange, u64
+from hatlab.rng import chance, chance_mask, coin, coin_mask, randrange, randrange_row, u64
 
 
 def test_u64_deterministic_and_key_sensitive():
@@ -90,3 +90,16 @@ def test_randrange_rejects_empty():
 
     with pytest.raises(ValueError):
         randrange(0, 1)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="randrange needs n >= 1"):
+            randrange_row(4, n, 1)
+
+
+def test_randrange_row_matches_randrange_bit_for_bit():
+    wide = (1 << 70) + 12345
+    for count in (0, 1, 16, 64, 129, 256):
+        for n in (1, 3, 12, 1 << 40):
+            for seed in (0, -wide, wide):
+                for indices in ((), (3,), (1, 2), (9, 0, 4)):
+                    row = randrange_row(count, n, seed, *indices)
+                    assert row == [randrange(n, seed, *indices, v) for v in range(count)]
