@@ -127,7 +127,6 @@ def build_ell_tuples(
     k_base: int,
     seed: int,
     target_measure: Fraction | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> TupleFamily:
     """Sample disjoint ell-tuples until their union reaches the target measure.
 
@@ -153,9 +152,9 @@ def build_ell_tuples(
     attempt = 0
     while Fraction(len(tuples) * ell, space) < target_measure:
         attempt += 1
-        if attempt > max_attempts:
+        if attempt > DEFAULT_MAX_ATTEMPTS:
             raise RetryLimitError(
-                f"gave up after {max_attempts} partition samples "
+                f"gave up after {DEFAULT_MAX_ATTEMPTS} partition samples "
                 f"(reached measure {Fraction(len(tuples) * ell, space)} of {target_measure})",
                 attempts=attempt - 1,
             )

@@ -17,6 +17,9 @@ Conventions:
 * All exact values are Fractions with power-of-two denominators; no floats
   on exact paths.
 
+The intersecting kind is the balanced up-sets with no complementary pair, as
+every maximal intersecting family is one (Erdos, Ko & Rado 1961).
+
 Every best response, and every value coordinate ascent reports, comes from
 one per-view evaluator (``_others_correct``).  The two-player table search
 is a branch and bound over packed tables whose columns are that
@@ -34,9 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bits import iter_bits
-from .constructions import kneser_hypercube
 from .errors import SizeLimitError
-from .graph_core import enumerate_maximal_independent_sets
 from .rng import randrange_row
 
 KINDS = ("dictator", "intersecting", "monotone")
@@ -121,9 +122,9 @@ def winning_family(kind: str, n: int) -> WinningFamily:
 
     dictator: the n coordinate sets {x : x_i = 1}, in coordinate order;
     guarded to n <= 16.  intersecting: all containment-maximal intersecting
-    families, computed as the maximal independent sets of the disjoint-support
-    graph; guarded to n <= 4.  monotone: all balanced up-closed sets; guarded
-    to n <= 5.
+    families, the balanced up-closed sets disjoint from their mirror (word w
+    <-> 2^n - 1 - w), since such an up-set holds no complementary pair;
+    guarded to n <= 4.  monotone: all balanced up-closed sets; guarded to n <= 5.
     """
     if n < 1:
         raise ValueError("winning_family needs n >= 1")
@@ -134,11 +135,8 @@ def winning_family(kind: str, n: int) -> WinningFamily:
     if kind == "intersecting":
         if n > INTERSECTING_MAX_N:
             raise SizeLimitError(f"intersecting families enumerable only for n <= {INTERSECTING_MAX_N}")
-        fams = enumerate_maximal_independent_sets(kneser_hypercube(n))
-        sets = tuple(sorted(vs.bits for vs in fams))
-        if any(s.bit_count() != 1 << (n - 1) for s in sets):
-            raise RuntimeError(f"an intersecting family for n = {n} is not of half size")
-        return WinningFamily(n, kind, sets)
+        sets = (s for s in _balanced_monotone_sets(n) if not s & int(f"{s:0{1 << n}b}"[::-1], 2))
+        return WinningFamily(n, kind, tuple(sets))
     if kind == "monotone":
         if n > MONOTONE_MAX_N:
             raise SizeLimitError(f"balanced monotone families enumerable only for n <= {MONOTONE_MAX_N}")
@@ -277,7 +275,9 @@ def check_positive_correlation(
     J empty gives the marginal.  Raises ValueError when the conditioning
     event is empty or an index is not a winning set's.
     """
-    _check_guesses(family, [(*J, i)], len(J) + 1)
+    for index in (*J, i):
+        if index not in range(family.r):
+            raise ValueError(f"winning-set index {index!r} is not in range({family.r})")
     inter = (1 << (1 << family.n)) - 1
     for j in J:
         inter &= family.sets[j]

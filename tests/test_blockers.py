@@ -121,7 +121,7 @@ def test_tuples_deterministic_by_seed():
 def test_tuples_retry_limit():
     # only one disjoint tuple exists at n=4, so a larger target cannot be met
     with pytest.raises(RetryLimitError):
-        build_ell_tuples(4, 2, seed=1, target_measure=Fraction(1, 2), max_attempts=200)
+        build_ell_tuples(4, 2, seed=1, target_measure=Fraction(1, 2))
 
 
 def test_tuples_need_enough_coordinates():

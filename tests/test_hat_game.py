@@ -9,7 +9,7 @@ import pytest
 from hatlab import hat_game
 from hatlab.constructions import hamming_power, kneser_hypercube
 from hatlab.errors import SizeLimitError
-from hatlab.graph_core import max_independent_set
+from hatlab.graph_core import enumerate_maximal_independent_sets, max_independent_set
 from hatlab.hat_game import (
     DEFAULT_TABLE_BUDGET,
     KINDS,
@@ -74,6 +74,9 @@ def test_intersecting_measures_and_maximality(n):
     assert all(Fraction(fam.sets[i].bit_count(), 1 << fam.n) == HALF for i in range(fam.r))
     if n <= 3:
         assert set(fam.sets) == maximal_intersecting_families(n)
+    # Bron–Kerbosch on K(n) shares no code with the up-set route; same sorted order
+    mis = enumerate_maximal_independent_sets(kneser_hypercube(n))
+    assert fam.sets == tuple(sorted(vs.bits for vs in mis))
 
 
 def test_monotone_n2_is_the_dictators():
@@ -559,6 +562,14 @@ def test_correlation_dictator_independent_coordinates():
     fam = winning_family("dictator", 2)
     prob, ok = check_positive_correlation(fam, (0,), 1)
     assert prob == HALF and ok
+
+
+def test_correlation_names_a_bad_index():
+    fam = winning_family("dictator", 3)
+    with pytest.raises(ValueError, match=r"index 7 is not in range\(3\)"):
+        check_positive_correlation(fam, [7], 0)
+    with pytest.raises(ValueError, match=r"index -1 is not in range\(3\)"):
+        check_positive_correlation(fam, [0, 1], -1)
 
 
 def test_correlation_empty_conditioning_event():
