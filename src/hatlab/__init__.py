@@ -10,7 +10,6 @@ maximum independent sets.
 from .blockers import (
     BlockerFamily,
     BlockerSchedule,
-    TupleFamily,
     VerifyResult,
     blocker_schedule,
     build_ell_tuples,

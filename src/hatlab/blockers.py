@@ -4,9 +4,10 @@ A blocker is a set of point-tuples that intersects every winning set the
 players can realize.  Small disjoint blockers force a quantified loss in
 the game value when a player count is added, via ``lemma_bound``.
 
-The inductive construction lives here: complementary pairs at arity 1, and
-an arity lift that crosses an existing family with randomly sampled
-``ell``-tuples built from ordered coordinate partitions.
+The inductive construction lives here, on one type, ``BlockerFamily``:
+complementary pairs at arity 1, randomly sampled ``ell``-tuples built from
+ordered coordinate partitions (also arity 1), and the lift, the product of
+two families, in which arity adds and union measure multiplies.
 """
 
 from __future__ import annotations
@@ -45,43 +46,37 @@ class BlockerSchedule:
 
 @dataclass(frozen=True)
 class BlockerFamily:
-    """Pairwise-disjoint point-tuple sets of a common size."""
+    """Pairwise-disjoint sets of t-tuples of n-bit words, all of one size k.
+
+    The union measure is the share of the t-tuple space the blockers cover,
+    k * len(blockers) / 2^(n*t); disjointness keeps it at most 1.
+    """
 
     t: int
     n: int
     blockers: tuple[frozenset[PointTuple], ...]
-    union_measure: Fraction
 
     def __post_init__(self):
         sizes = {len(b) for b in self.blockers}
         if len(sizes) > 1:
             raise ValueError("blockers must share a common size")
         total = sum(len(b) for b in self.blockers)
-        distinct = len(set().union(*self.blockers)) if self.blockers else 0
-        if total != distinct:
+        union = set().union(*self.blockers)
+        if total != len(union):
             raise ValueError("blockers must be pairwise disjoint")
-        if self.blockers and self.union_measure != Fraction(total, (1 << self.n) ** self.t):
-            raise ValueError("union measure inconsistent with contents")
+        if {len(a) for a in union} - {self.t}:
+            raise ValueError(f"every tuple must have arity t = {self.t}")
+        words = set().union(*union)
+        if words and not 0 <= min(words) <= max(words) < 1 << self.n:
+            raise ValueError(f"every word must lie in the {self.n}-bit space")
 
     @property
     def k(self) -> int:
         return len(self.blockers[0]) if self.blockers else 0
 
-
-@dataclass(frozen=True)
-class TupleFamily:
-    """Disjoint ell-tuples of points, one ordered coordinate partition each.
-
-    A partition assigns every coordinate of [n] to one of 2*k_base parts
-    (all parts nonempty); the tuple's members are the C(2k, k) words whose
-    support is the union of exactly k_base parts.
-    """
-
-    n: int
-    k_base: int
-    partitions: tuple[tuple[int, ...], ...]
-    tuples: tuple[frozenset[int], ...]
-    union_measure: Fraction
+    @property
+    def union_measure(self) -> Fraction:
+        return Fraction(len(self.blockers) * self.k, 1 << (self.n * self.t))
 
 
 def blocker_schedule(d_max: int) -> list[BlockerSchedule]:
@@ -113,7 +108,7 @@ def pair_blockers(n: int) -> BlockerFamily:
     blockers = tuple(
         frozenset({(x,), (full ^ x,)}) for x in range(1 << n) if x < full ^ x
     )
-    return BlockerFamily(1, n, blockers, Fraction(1))
+    return BlockerFamily(1, n, blockers)
 
 
 def _sample_partition(n: int, parts: int, seed: int, attempt: int) -> tuple[int, ...] | None:
@@ -127,13 +122,14 @@ def build_ell_tuples(
     k_base: int,
     seed: int,
     target_measure: Fraction | None = None,
-) -> TupleFamily:
+) -> BlockerFamily:
     """Sample disjoint ell-tuples until their union reaches the target measure.
 
     Each attempt draws a uniform ordered partition of the n coordinates into
-    2*k_base nonempty parts, forms the C(2k, k) part-union words, and accepts
-    the tuple iff it avoids every previously accepted word.  The default
-    target is 1/(2*ell); pass a larger value to keep accumulating tuples.
+    2*k_base nonempty parts, forms the ell = C(2k, k) part-union words, and
+    accepts the tuple iff it avoids every previously accepted word.  The
+    default target is 1/(2*ell); pass a larger value to keep accumulating
+    tuples.  Returns an arity-1 family, one member of 1-tuples per tuple.
     """
     two_k = 2 * k_base
     if k_base < 1:
@@ -147,8 +143,7 @@ def build_ell_tuples(
         raise ValueError("target measure must lie in (0, 1]")
     space = 1 << n
     used = 0
-    tuples: list[frozenset[int]] = []
-    partitions: list[tuple[int, ...]] = []
+    tuples: list[frozenset[PointTuple]] = []
     attempt = 0
     while Fraction(len(tuples) * ell, space) < target_measure:
         attempt += 1
@@ -174,28 +169,22 @@ def build_ell_tuples(
         if wmask & used:
             continue
         used |= wmask
-        tuples.append(frozenset(words))
-        partitions.append(assign)
-    return TupleFamily(
-        n, k_base, tuple(partitions), tuple(tuples), Fraction(len(tuples) * ell, space)
-    )
+        tuples.append(frozenset((w,) for w in words))
+    return BlockerFamily(1, n, tuple(tuples))
 
 
-def lift_blockers(base: BlockerFamily, tuples: TupleFamily) -> BlockerFamily:
-    """Cross every base blocker with every tuple: arity t -> t + 1.
-
-    Sizes multiply by ell and union measures multiply exactly.
+def lift_blockers(base: BlockerFamily, tuples: BlockerFamily) -> BlockerFamily:
+    """The product of two families on one n: each base blocker crossed with
+    each member of ``tuples``.  Arity adds, sizes and union measures multiply.
     """
     if base.n != tuples.n:
         raise ValueError("base family and tuples must share the point space")
     blockers = tuple(
-        frozenset(bt + (y,) for bt in b for y in Y)
+        frozenset(bt + y for bt in b for y in Y)
         for b in base.blockers
-        for Y in tuples.tuples
+        for Y in tuples.blockers
     )
-    return BlockerFamily(
-        base.t + 1, base.n, blockers, base.union_measure * tuples.union_measure
-    )
+    return BlockerFamily(base.t + tuples.t, base.n, blockers)
 
 
 @dataclass(frozen=True)

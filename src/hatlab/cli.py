@@ -280,7 +280,7 @@ def cmd_blockers_build(args, em: Emitter) -> None:
     base = pair_blockers(args.bits)
     tuples = build_ell_tuples(args.bits, 2, seed=args.seed, target_measure=args.target_measure)
     fam = lift_blockers(base, tuples)
-    values = {"family": family_to_json(fam), "num_tuples": len(tuples.tuples)}
+    values = {"family": family_to_json(fam), "num_tuples": len(tuples.blockers)}
     if args.verify:
         wf = winning_family("dictator", args.bits)
         verdicts = [verify_blocker(b, wf, **given(args, "budget")).is_blocker for b in fam.blockers]

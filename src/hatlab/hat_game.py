@@ -46,6 +46,7 @@ INTERSECTING_MAX_N = 4
 MONOTONE_MAX_N = 5
 DEFAULT_TABLE_BUDGET = 2_000_000
 DEFAULT_RESTARTS = 4
+MAX_SWEEPS = 64
 DEFAULT_MASK_GUARD = 1 << 22
 
 
@@ -412,7 +413,7 @@ def exact_value_two_players(
 
 
 def coordinate_ascent(
-    family: WinningFamily, tables: Sequence[Sequence[int]], max_sweeps: int = 64
+    family: WinningFamily, tables: Sequence[Sequence[int]]
 ) -> tuple[tuple[tuple[int, ...], ...], list[Fraction]]:
     """Repeatedly replace one player's table by its exact best response.
 
@@ -427,7 +428,7 @@ def coordinate_ascent(
     total = N**t
     work = [tuple(tb) for tb in tables]
     history: list[Fraction] = []
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         changed = False
         for i in range(t):
             new_i, count = _best_guesses(family, _others_correct(family, work, i))

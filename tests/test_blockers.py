@@ -1,12 +1,15 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from hatlab.bits import point_to_str
 from hatlab.blockers import (
+    BlockerFamily,
     blocker_schedule,
     build_ell_tuples,
     family_to_json,
@@ -69,6 +72,17 @@ def test_pair_blockers_n2():
     }
 
 
+@pytest.mark.parametrize(
+    "t,n,message",
+    # 2-bit words in a 1-bit space (their union measure would read 2), and
+    # 1-tuples in a 2-tuple space
+    [(1, 1, "word must lie"), (2, 2, "arity t = 2")],
+)
+def test_family_refuses_tuples_outside_its_space(t, n, message):
+    with pytest.raises(ValueError, match=message):
+        BlockerFamily(t, n, pair_blockers(2).blockers)
+
+
 def test_every_dictator_hits_each_pair_exactly_once():
     n = 4
     fam = pair_blockers(n)
@@ -84,32 +98,34 @@ def test_every_dictator_hits_each_pair_exactly_once():
 
 def test_tuples_n4_are_weight_two_words():
     tf = build_ell_tuples(4, 2, seed=1)
-    assert len(tf.tuples) == 1 and tf.union_measure == Fraction(6, 16)
-    assert sorted(tf.tuples[0]) == [3, 5, 6, 9, 10, 12]
+    assert tf.t == 1 and len(tf.blockers) == 1 and tf.union_measure == Fraction(6, 16)
+    assert sorted(tf.blockers[0]) == [(3,), (5,), (6,), (9,), (10,), (12,)]
     assert tf.union_measure >= Fraction(1, 12)
 
 
 def test_tuples_distinct_members_and_exact_measure():
     for seed in (2, 9, 44):
         tf = build_ell_tuples(6, 2, seed=seed, target_measure=Fraction(12, 64))
-        assert all(len(Y) == 6 for Y in tf.tuples)
-        flat = [w for Y in tf.tuples for w in Y]
+        assert all(len(Y) == 6 for Y in tf.blockers)
+        flat = [w for Y in tf.blockers for (w,) in Y]
         assert len(flat) == len(set(flat))
-        assert tf.union_measure == Fraction(len(tf.tuples) * 6, 64)
+        assert tf.union_measure == Fraction(len(tf.blockers) * 6, 64)
 
 
-def test_tuples_partitions_recorded_per_tuple():
-    tf = build_ell_tuples(6, 2, seed=3, target_measure=Fraction(12, 64))
-    assert len(tf.partitions) == len(tf.tuples)
-    for parts, Y in zip(tf.partitions, tf.tuples):
-        assert set(parts) == set(range(4))
-        masks = [0] * 4
-        for c, p in enumerate(parts):
-            masks[p] |= 1 << c
-        from itertools import combinations
-
-        words = {sum(masks[p] for p in sub) for sub in combinations(range(4), 2)}
-        assert words == set(Y)
+def test_tuples_are_unions_of_k_atoms():
+    # an ell-tuple's atoms are its coordinates grouped by the words that
+    # contain them: 2k nonempty parts whose k-unions are exactly its words
+    n, k = 6, 2
+    tf = build_ell_tuples(n, k, seed=3, target_measure=Fraction(12, 64))
+    assert len(tf.blockers) == 2
+    for Y in tf.blockers:
+        words = {w for (w,) in Y}
+        atoms: dict[frozenset[int], int] = {}
+        for c in range(n):
+            key = frozenset(w for w in words if (w >> c) & 1)
+            atoms[key] = atoms.get(key, 0) | 1 << c
+        assert len(atoms) == 2 * k and all(atoms.values())
+        assert words == {sum(sub) for sub in combinations(atoms.values(), k)}
 
 
 def test_tuples_deterministic_by_seed():
@@ -138,9 +154,19 @@ def test_lift_sizes_and_measure_match_schedule():
     tf = build_ell_tuples(4, 2, seed=5)
     lifted = lift_blockers(base, tf)
     assert lifted.t == 2 and lifted.k == sch.k == 12
-    assert len(lifted.blockers) == len(base.blockers) * len(tf.tuples)
+    assert len(lifted.blockers) == len(base.blockers) * len(tf.blockers)
     assert lifted.union_measure == base.union_measure * tf.union_measure
     assert lifted.union_measure >= sch.beta
+
+
+def test_lift_is_a_product_of_families():
+    # arity adds and union measure multiplies, at any arities
+    tf = build_ell_tuples(4, 2, seed=5)
+    level2 = lift_blockers(pair_blockers(4), tf)
+    for a, b in ((pair_blockers(2), pair_blockers(2)), (level2, tf), (tf, level2)):
+        lifted = lift_blockers(a, b)
+        assert lifted.t == a.t + b.t and lifted.k == a.k * b.k
+        assert lifted.union_measure == a.union_measure * b.union_measure
 
 
 def test_lift_requires_matching_space():
@@ -333,6 +359,36 @@ def test_lemma_bound_consistent_with_exact_values():
 
 
 # -- JSON rendering ----------------------------------------------------------
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_level2_families_pinned():
+    # the nine families behind suite checks 5 and 6, as rendered to JSON
+    families = []
+    for n in (4, 5, 6):
+        target = None if n == 4 else Fraction(12, 1 << n)
+        for seed in (101, 202, 303):
+            tf = build_ell_tuples(n, 2, seed=seed, target_measure=target)
+            families.append(family_to_json(lift_blockers(pair_blockers(n), tf)))
+    assert _sha256(families) == "a401e86936b292ee0e0911cfa7f871565f1cf37751c4738e16937221f356b0a8"
+
+
+def test_blockers_build_records_pinned():
+    # 84 runs, each with its exit status and records apart from wall_ms; the
+    # 12/16 target at 4 bits is out of reach (exit 1, no record)
+    runs = []
+    for bits in (4, 5, 6, 7):
+        for seed in (1, 3, 7, 11, 101, 202, 303):
+            for extra in ([], ["--target-measure", f"12/{1 << bits}"], ["--verify"]):
+                argv = ["blockers", "build", "--bits", str(bits), "--seed", str(seed), *extra]
+                status, records = run(argv, capture=True)
+                records = [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
+                runs.append([status, records])
+    assert [status for status, _ in runs].count(1) == 7
+    assert _sha256(runs) == "5d8b0631151b0bd8dbd0acac2a4135e810bec140610f9fbc606bb8ad6e50a9d8"
 
 
 def test_family_json_round_trip():

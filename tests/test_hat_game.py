@@ -465,14 +465,18 @@ def test_coordinate_ascent_matches_per_tuple_oracle(kind, n, t):
     fam = winning_family(kind, n)
     views = (1 << n) ** (t - 1)
     tables = [tuple(randrange(fam.r, 31, t, i, v) for v in range(views)) for i in range(t)]
-    _, history = coordinate_ascent(fam, tables)
+    final, history = coordinate_ascent(fam, tables)
     work = list(tables)
-    for sweeps, value in enumerate(history, 1):
+    for k, value in enumerate(history):
+        # the ascent restarted from the oracle's tables after k sweeps
+        # finishes as the full run does, sweep for sweep
+        assert coordinate_ascent(fam, work) == (final, history[k:]), k
         for i in range(t):
             work[i] = brute_best_response_table(fam, work, i)
-        strat, head = coordinate_ascent(fam, tables, max_sweeps=sweeps)
-        assert strat == tuple(work) and head == history[:sweeps]
-        assert simulate_strategy(fam, strat)[1] == value
+        assert simulate_strategy(fam, work)[1] == value
+    # and stops at a fixed point: no player's best response moves
+    assert tuple(work) == final
+    assert all(brute_best_response_table(fam, work, i) == work[i] for i in range(t))
 
 
 def test_nested_lower_bound_four_players_forced():

@@ -1,8 +1,8 @@
-"""`hatlab.hat_game` imports no graph module.
+"""`hatlab.hat_game` and `hatlab.blockers` import no graph module.
 
-The game side builds its families by itself, so the suite's game–graph
-checks compare two computations that share no code.  The lint walks
-hat_game's AST and reports every import that reaches a graph module,
+The game side builds its families and blockers by itself, so the suite's
+game–graph checks compare two computations that share no code.  The lint
+walks each module's AST and reports every import that reaches a graph module,
 whether written as ``from .x import …``, ``from . import x``,
 ``import hatlab.x`` or ``from hatlab.x import …``.
 """
@@ -10,7 +10,9 @@ whether written as ``from .x import …``, ``from . import x``,
 import ast
 from pathlib import Path
 
-HAT_GAME = Path(__file__).resolve().parent.parent / "src" / "hatlab" / "hat_game.py"
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hatlab"
 
 GRAPH_MODULES = {f"hatlab.{m}" for m in ("graph_core", "constructions", "hitting_sets", "random_subgraphs")}
 
@@ -52,5 +54,6 @@ def test_lint_finds_graph_imports():
     ]
 
 
-def test_hat_game_imports_no_graph_module():
-    assert graph_imports(ast.parse(HAT_GAME.read_text())) == []
+@pytest.mark.parametrize("module", ("hat_game.py", "blockers.py"))
+def test_game_module_imports_no_graph_module(module):
+    assert graph_imports(ast.parse((SRC / module).read_text())) == []
