@@ -415,7 +415,8 @@ def exact_value_two_players(
 def coordinate_ascent(
     family: WinningFamily, tables: Sequence[Sequence[int]]
 ) -> tuple[tuple[tuple[int, ...], ...], list[Fraction]]:
-    """Repeatedly replace one player's table by its exact best response.
+    """Repeatedly replace one player's table by its exact best response,
+    until a sweep changes no table or ``MAX_SWEEPS`` sweeps have run.
 
     Returns the final tables and the value after each sweep; the history
     is non-decreasing because each replacement is an exact best response.
