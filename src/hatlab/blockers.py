@@ -129,7 +129,9 @@ def build_ell_tuples(
     2*k_base nonempty parts, forms the ell = C(2k, k) part-union words, and
     accepts the tuple iff it avoids every previously accepted word.  The
     default target is 1/(2*ell); pass a larger value to keep accumulating
-    tuples.  Returns an arity-1 family, one member of 1-tuples per tuple.
+    tuples.  A target above what disjoint tuples of the reachable words can
+    cover raises :class:`RetryLimitError` before any draw (``attempts=0``).
+    Returns an arity-1 family, one member of 1-tuples per tuple.
     """
     two_k = 2 * k_base
     if k_base < 1:
@@ -142,6 +144,14 @@ def build_ell_tuples(
     if not 0 < target_measure <= 1:
         raise ValueError("target measure must lie in (0, 1]")
     space = 1 << n
+    # a word joins k of the 2k nonempty parts, so its weight lies in [k, n - k]
+    ceiling = Fraction(sum(comb(n, w) for w in range(k_base, n - k_base + 1)) // ell * ell, space)
+    if target_measure > ceiling:
+        raise RetryLimitError(
+            f"target measure {target_measure} is out of reach: disjoint tuples of words "
+            f"of weight {k_base} to {n - k_base} cover at most {ceiling}",
+            attempts=0,
+        )
     used = 0
     tuples: list[frozenset[PointTuple]] = []
     attempt = 0

@@ -246,26 +246,9 @@ def _color_bound(
     return order, bound
 
 
-def _reduce(adj: Sequence[int], P: int) -> tuple[int, list[int]]:
-    """Take what the degree <= 1 rules settle in G[P]; split the rest.
-
-    A vertex v with at most one neighbour u in P lies in a maximum set (swap
-    u for v): v is taken, u dropped and u's neighbours checked again.  One
-    fixpoint, seeded with all of P, checks lowest vertex (highest flipped
-    bit) first, so an isolated vertex is taken by the same test.  The rest
-    comes back as its components, by ascending (size, lowest vertex).
-    """
-    taken, check = 0, P
-    while check:
-        v = check.bit_length() - 1
-        bit = 1 << v
-        check ^= bit
-        nb = P & adj[v]
-        if bit & P and not nb & (nb - 1):
-            taken |= bit
-            P ^= bit | nb
-            if nb:
-                check |= P & adj[nb.bit_length() - 1]
+def _components(adj: Sequence[int], P: int) -> list[int]:
+    """The connected components of G[P] as masks, lowest bit first; ``adj``
+    may be any labelling of the rows, as long as P uses the same one."""
     parts = []
     while P:
         grow = P & -P
@@ -278,6 +261,30 @@ def _reduce(adj: Sequence[int], P: int) -> tuple[int, list[int]]:
             grow |= new
         parts.append(P ^ left)
         P = left
+    return parts
+
+
+def _reduce(adj: Sequence[int], P: int) -> tuple[int, list[int]]:
+    """Take what the degree <= 1 rules settle in G[P]; split the rest.
+
+    A vertex v with at most one neighbour u in P lies in a maximum set (swap
+    u for v): v is taken, u dropped and u's neighbours checked again.  One
+    fixpoint, seeded with all of P, checks lowest vertex (highest flipped
+    bit) first, so an isolated vertex is taken by the same test.  The rest
+    comes back as its ``_components``, by ascending (size, lowest vertex).
+    """
+    taken, check = 0, P
+    while check:
+        v = check.bit_length() - 1
+        bit = 1 << v
+        check ^= bit
+        nb = P & adj[v]
+        if bit & P and not nb & (nb - 1):
+            taken |= bit
+            P ^= bit | nb
+            if nb:
+                check |= P & adj[nb.bit_length() - 1]
+    parts = _components(adj, P)
     parts.sort(key=lambda part: (part.bit_count(), -part.bit_length()))
     return taken, parts
 

@@ -12,6 +12,9 @@ keyed (seed, sample, vertex), so estimates are bit-identical for any
 evaluation order.  alpha**, exact and Monte-Carlo, and the partition bound
 are one statistic over different streams of vertex masks, so all three
 return one :class:`Estimate`; the quarter-plus-tau margin check extends it.
+Past the subset table a mask is scored one connected component at a time,
+since alpha is additive over components, and each subset of a component
+is searched at most once per call.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -29,6 +31,7 @@ from .graph_core import (
     DEFAULT_ENUM_CAP,
     Graph,
     VertexSet,
+    _components,
     enumerate_maximum_independent_sets,
     max_independent_set,
     subset_alpha,
@@ -105,17 +108,34 @@ def _mean_alpha(G: Graph, masks: Iterable[int], mode: str) -> Estimate:
 
     alpha(G[W]) is read from the subset table when n <= EXACT_SUBSET_GUARD
     or, in mode "exact", there are at least 2^n masks (then a list or
-    range), and searched otherwise, once per distinct W (unions of parts
-    repeat).  Mode "exact" gives the Fraction mean and no standard error;
-    mode "monte_carlo" gives the float mean and its standard error.  Both
-    come from exact integer sums, which makes them independent of
-    summation order, so Monte-Carlo records stay bit-identical across runs.
+    range).  Otherwise it is the sum of alpha(G[W & c]) over G's components
+    c, as no edge joins two; each component keeps a dict of the W & c it
+    has searched, so it is searched at most 2^|c| times, and on a connected
+    G once per distinct W (unions of parts repeat).  Mode "exact" gives the
+    Fraction mean and no standard error; mode "monte_carlo" gives the float
+    mean and its standard error.  Both come from exact integer sums, which
+    makes them independent of summation order, so Monte-Carlo records stay
+    bit-identical across runs.
     """
     n = G.n
+    if n < 1:
+        raise ValueError("graph must have at least one vertex")
     if n <= EXACT_SUBSET_GUARD or (mode == "exact" and 1 << n <= len(masks)):
         alpha = G._subset_alphas.__getitem__
     else:
-        alpha = lru_cache(maxsize=None)(partial(subset_alpha, G))
+        memos = [(c, {}) for c in _components(G.adj, (1 << n) - 1)]
+
+        def alpha(W: int) -> int:
+            a = 0
+            for c, memo in memos:
+                w = W & c
+                try:
+                    a += memo[w]
+                except KeyError:
+                    memo[w] = x = subset_alpha(G, w)
+                    a += x
+            return a
+
     s = total = sq = 0
     for W in masks:
         a = alpha(W)
@@ -133,8 +153,6 @@ def _mean_alpha(G: Graph, masks: Iterable[int], mode: str) -> Estimate:
 
 def alpha_star_star_exact(G: Graph, guard: int = EXACT_SUBSET_GUARD) -> Estimate:
     """Exact rational average of alpha(G[W])/n over all 2^n subsets W."""
-    if G.n < 1:
-        raise ValueError("graph must have at least one vertex")
     if G.n > guard:
         raise SizeLimitError(f"exact mode enumerates 2^n subsets; n={G.n} exceeds guard {guard}")
     return _mean_alpha(G, range(1 << G.n), "exact")

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from hatlab import blockers
 from hatlab.bits import point_to_str
 from hatlab.blockers import (
     BlockerFamily,
@@ -138,6 +139,22 @@ def test_tuples_retry_limit():
     # only one disjoint tuple exists at n=4, so a larger target cannot be met
     with pytest.raises(RetryLimitError):
         build_ell_tuples(4, 2, seed=1, target_measure=Fraction(1, 2))
+
+
+def test_unreachable_tuple_target_refused_before_any_draw(monkeypatch):
+    # every word has weight in [k, n - k], and disjoint tuples of C(2k, k)
+    # words cover at most floor(words / ell) * ell of them
+    def no_draw(*args):
+        raise AssertionError("a partition was drawn")
+
+    monkeypatch.setattr(blockers, "_sample_partition", no_draw)
+    for n, target, ceiling in ((4, Fraction(7, 16), "3/8"), (6, Fraction(49, 64), "3/4")):
+        with pytest.raises(RetryLimitError, match=f"cover at most {ceiling}$") as err:
+            build_ell_tuples(n, 2, seed=1, target_measure=target)
+        assert err.value.attempts == 0
+    monkeypatch.undo()
+    # the ceiling itself is a target that may be met: at n=4 one tuple covers it
+    assert len(build_ell_tuples(4, 2, seed=1, target_measure=Fraction(6, 16)).blockers) == 1
 
 
 def test_tuples_need_enough_coordinates():

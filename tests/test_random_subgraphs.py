@@ -1,14 +1,27 @@
 import gc
+import math
+import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
+from hatlab import random_subgraphs
+from hatlab.acceptance import MARGIN_CORPUS, _edge_k4_union
+from hatlab.bits import iter_bits
 from hatlab.constructions import random_gnp
 from hatlab.errors import SizeLimitError
-from hatlab.graph_core import VertexSet, induced_subgraph, make_graph, max_independent_set
+from hatlab.graph_core import (
+    VertexSet,
+    induced_subgraph,
+    make_graph,
+    max_independent_set,
+    subset_alpha,
+)
 from hatlab.hat_game import best_response, winning_family
 from hatlab.random_subgraphs import (
+    EXACT_SUBSET_GUARD,
+    Estimate,
     alpha_star_star_exact,
     alpha_star_star_margin,
     alpha_star_star_mc,
@@ -17,7 +30,7 @@ from hatlab.random_subgraphs import (
     removal_trace,
 )
 
-from hatlab.rng import randrange
+from hatlab.rng import coin_mask, randrange
 
 from oracles import brute_alpha, brute_alpha_star_star
 
@@ -298,3 +311,129 @@ def test_partition_validation():
         partition_bound_eval(G, [VertexSet(5, 0b111), VertexSet(5, 0b110)])  # overlap
     with pytest.raises(ValueError):
         partition_bound_eval(G, [VertexSet(5, 0b11111)], winning_family("dictator", 2))
+
+
+def test_empty_graph_is_refused_by_every_estimator():
+    G = induced_subgraph(C5, VertexSet(5, 0))
+    calls = (
+        lambda: alpha_star_star_exact(G),
+        lambda: alpha_star_star_mc(G),
+        lambda: partition_bound_eval(G, []),
+        lambda: partition_bound_eval(G, [], mode="monte_carlo"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="graph must have at least one vertex"):
+            call()
+
+
+# -- component memo past the subset table ------------------------------------
+
+
+def reference_estimate(G, masks, mode):
+    """The estimate from one whole-graph ``subset_alpha`` per mask: no memo, no split."""
+    alphas = [subset_alpha(G, W) for W in masks]
+    n, s = G.n, len(alphas)
+    total, sq = sum(alphas), sum(a * a for a in alphas)
+    mean = Fraction(total, n * s)
+    if mode == "exact":
+        return Estimate(n, mode, mean, None, s)
+    var = (Fraction(sq, n * n) - Fraction(total * total, n * n * s)) / (s - 1)
+    return Estimate(n, mode, float(mean), math.sqrt(float(var) / s), s)
+
+
+def shuffled_union(blocks, loops=(), seed=0):
+    """Disjoint union of connected blocks, each a path plus G(m, 0.3)
+    chords (a block of one is an isolated vertex), with a self-loop at each
+    vertex position in ``loops``, and labels shuffled."""
+    n = sum(blocks)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    edges, base = [(v, v) for v in loops], 0
+    for i, m in enumerate(blocks):
+        edges += [(base + v, base + v + 1) for v in range(m - 1)]
+        edges += [(base + u, base + v) for u, v in random_gnp(m, 0.3, seed=i).edges()]
+        base += m
+    return make_graph(n, [(order[u], order[v]) for u, v in edges])
+
+
+DISCONNECTED = {
+    "isolated": lambda: make_graph(20, []),
+    "looped_isolated": lambda: shuffled_union([1] * 11 + [6], loops=(0, 1, 2, 3, 4, 13), seed=1),
+    "sizes_1_to_20": lambda: shuffled_union(range(1, 21), seed=2),
+    "one_past_the_table": lambda: shuffled_union([17, 1, 1, 2, 1], loops=(3,), seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISCONNECTED))
+def test_component_memo_matches_whole_graph_searches(name):
+    G = DISCONNECTED[name]()
+    assert G.n > EXACT_SUBSET_GUARD
+    samples, seed, r = 120, 5, 6
+    draws = [coin_mask(G.n, seed, s) for s in range(samples)]
+    assert alpha_star_star_mc(G, samples, seed) == reference_estimate(G, draws, "monte_carlo")
+    parts = [VertexSet.from_indices(G.n, range(i, G.n, r)) for i in range(r)]
+    masks = [part.bits for part in parts]
+    unions = [sum(masks[i] for i in iter_bits(R)) for R in range(1 << r)]
+    assert partition_bound_eval(G, parts) == reference_estimate(G, unions, "exact")
+    unions = [sum(masks[i] for i in iter_bits(coin_mask(r, seed, s))) for s in range(samples)]
+    res = partition_bound_eval(G, parts, samples=samples, seed=seed, mode="monte_carlo")
+    assert res == reference_estimate(G, unions, "monte_carlo")
+
+
+# check 12's corpus: (mode, estimate, stderr) of each report, captured while
+# every Monte-Carlo sample was one whole-graph search
+MARGIN_PINS = (
+    ("monte_carlo", 0.24811111111111112, 0.000935279516634638),
+    ("exact", Fraction(57, 224), None),
+    ("exact", Fraction(21, 80), None),
+    ("exact", Fraction(9, 32), None),
+    ("exact", Fraction(39, 128), None),
+    ("exact", Fraction(51, 160), None),
+    ("exact", Fraction(21, 64), None),
+    ("exact", Fraction(75, 224), None),
+    ("monte_carlo", 0.3433333333333333, 0.001727071380711604),
+    ("monte_carlo", 0.34936666666666666, 0.0015420715230864408),
+    ("monte_carlo", 0.2680416666666667, 0.0012378546983865648),
+    ("exact", Fraction(33, 112), None),
+    ("exact", Fraction(9, 32), None),
+    ("monte_carlo", 0.304, 0.0014948488380766573),
+    ("monte_carlo", 0.31322222222222224, 0.0014560145867177404),
+    ("monte_carlo", 0.28244444444444444, 0.0012506108890860885),
+    ("monte_carlo", 0.3427777777777778, 0.001662543595099038),
+    ("monte_carlo", 0.31793333333333335, 0.0014008786171039822),
+    ("monte_carlo", 0.2901, 0.001228865812542037),
+    ("monte_carlo", 0.29693939393939395, 0.0012340832368887607),
+)
+
+
+def margin_corpus():
+    for idx, (a, b) in enumerate(MARGIN_CORPUS):
+        yield (a, b), _edge_k4_union(a, b, seed=7000 + idx), 7500 + idx
+
+
+def test_margin_corpus_reports_pinned():
+    reports = []
+    for _, G, seed in margin_corpus():
+        rep = alpha_star_star_margin(G, samples=1500, seed=seed)
+        reports.append((rep.mode, rep.estimate, rep.stderr))
+    assert reports == list(MARGIN_PINS)
+
+
+def test_margin_corpus_searches_each_component_subset_once(monkeypatch):
+    # 1500 samples draw every subset of an edge (2^2) and of a K4 (2^4), and
+    # each is searched once; a whole-graph memo searched 16,433 distinct W
+    calls = []
+
+    def spy(G, W):
+        calls.append(W)
+        return subset_alpha(G, W)
+
+    monkeypatch.setattr(random_subgraphs, "subset_alpha", spy)
+    searched = {}
+    for (a, b), G, seed in margin_corpus():
+        before = len(calls)
+        alpha_star_star_margin(G, samples=1500, seed=seed)
+        searched[a, b] = len(calls) - before
+        assert searched[a, b] == (0 if G.n <= EXACT_SUBSET_GUARD else 4 * a + 16 * b)
+    assert searched[8, 1] == 48
+    assert len(calls) == 604
