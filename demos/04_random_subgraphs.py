@@ -82,7 +82,7 @@ sweep = [(f"{a} edges + {b} K4s",
 sweep += [(f"G(12,{p})", random_gnp(12, p, seed=31)) for p in (0.2, 0.35, 0.5)]
 for label, H in sweep:
     abar = max_independent_set(H).alpha_bar
-    gap = abar - alpha_star_star_exact(H, guard=16).estimate
+    gap = abar - alpha_star_star_exact(H).estimate
     band = round(float(abar), 1)
     if band not in best or gap < best[band][0]:
         best[band] = (gap, label)

@@ -67,6 +67,7 @@ from .random_subgraphs import (
     alpha_star_star_exact,
     alpha_star_star_margin,
     alpha_star_star_mc,
+    exact_components,
     hajnal_check,
     partition_bound_eval,
     removal_trace,
@@ -365,10 +366,11 @@ def cmd_removal(args, em: Emitter) -> None:
 
 def cmd_t16(args, em: Emitter) -> None:
     G, _ = load_graph(args)
-    exact = G.n <= EXACT_SUBSET_GUARD
-    refuse_given(args, exact, "seed", "samples", only=f"past {EXACT_SUBSET_GUARD} vertices")
+    exact = exact_components(G) is not None
+    past = f"when a loop-free component has more than {EXACT_SUBSET_GUARD} vertices"
+    refuse_given(args, exact, "seed", "samples", only=past)
     if not exact and args.seed is None:
-        raise UsageError(f"--seed is required past {EXACT_SUBSET_GUARD} vertices")
+        raise UsageError(f"--seed is required {past}")
     rep = alpha_star_star_margin(G, **given(args, "seed", "samples"))
     em.emit({
         "alpha_bar": frac_str(rep.alpha_bar),

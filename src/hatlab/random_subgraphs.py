@@ -6,15 +6,16 @@ uniformly random vertex subset W:
     alpha_star_star(G) = E_W[ max over independent I of |I ∩ W| ] / n
                        = E_W[ alpha(G[W]) ] / n.
 
-Exact mode enumerates all 2^n subsets through a subset DP; Monte-Carlo mode
-draws one unbiased coin per vertex per sample from a counter-based stream
-keyed (seed, sample, vertex), so estimates are bit-identical for any
-evaluation order.  alpha**, exact and Monte-Carlo, and the partition bound
-are one statistic over different streams of vertex masks, so all three
-return one :class:`Estimate`; the quarter-plus-tau margin check extends it.
-Past the subset table a mask is scored one connected component at a time,
-since alpha is additive over components, and each subset of a component
-is searched at most once per call.
+alpha is additive over connected components, and so is its mean over W.
+Exact mode averages the subset DP of each component of G's loop-free part
+over all its 2^|c| subsets; Monte-Carlo mode draws one unbiased coin per
+vertex per sample from a counter-based stream keyed (seed, sample, vertex),
+so estimates are bit-identical for any evaluation order.  Monte-Carlo
+alpha** and the partition bound are one statistic over different streams
+of vertex masks; they, and exact alpha**, return one :class:`Estimate`,
+which the quarter-plus-tau margin check extends.  Past the subset table a
+mask is scored one connected component at a time, and each subset of a
+component is searched at most once per call.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .graph_core import (
     VertexSet,
     _components,
     enumerate_maximum_independent_sets,
+    induced_subgraph,
     max_independent_set,
     subset_alpha,
 )
@@ -104,14 +106,14 @@ class MarginReport(Estimate):
 
 
 def _mean_alpha(G: Graph, masks: Iterable[int], mode: str) -> Estimate:
-    """Mean of alpha(G[W]) / n over the vertex masks W, the one estimator here.
+    """Mean of alpha(G[W]) / n over the vertex masks W.
 
     alpha(G[W]) is read from the subset table when n <= EXACT_SUBSET_GUARD
-    or, in mode "exact", there are at least 2^n masks (then a list or
-    range).  Otherwise it is the sum of alpha(G[W & c]) over G's components
-    c, as no edge joins two; each component keeps a dict of the W & c it
-    has searched, so it is searched at most 2^|c| times, and on a connected
-    G once per distinct W (unions of parts repeat).  Mode "exact" gives the
+    or, in mode "exact", there are at least 2^n masks (then a list).
+    Otherwise it is the sum of alpha(G[W & c]) over G's components c, as no
+    edge joins two; each component keeps a dict of the W & c it has
+    searched, so it is searched at most 2^|c| times, and on a connected G
+    once per distinct W (unions of parts repeat).  Mode "exact" gives the
     Fraction mean and no standard error; mode "monte_carlo" gives the float
     mean and its standard error.  Both come from exact integer sums, which
     makes them independent of summation order, so Monte-Carlo records stay
@@ -151,11 +153,42 @@ def _mean_alpha(G: Graph, masks: Iterable[int], mode: str) -> Estimate:
     return Estimate(n, mode, float(mean), math.sqrt(float(var) / s), s)
 
 
+def exact_components(G: Graph, guard: int = EXACT_SUBSET_GUARD) -> list[int] | None:
+    """The connected components of G's loop-free part as masks, or None when
+    one has more than ``guard`` vertices: the one rule for whether alpha**
+    is exact.
+
+    A looped vertex is in no independent set, so it is left out, and the
+    blocks that only loops join are separate components (those of the
+    loop-free part of K(n)^t).
+    """
+    parts = _components(G.adj, G._allowed)
+    return None if any(c.bit_count() > guard for c in parts) else parts
+
+
 def alpha_star_star_exact(G: Graph, guard: int = EXACT_SUBSET_GUARD) -> Estimate:
-    """Exact rational average of alpha(G[W])/n over all 2^n subsets W."""
-    if G.n > guard:
-        raise SizeLimitError(f"exact mode enumerates 2^n subsets; n={G.n} exceeds guard {guard}")
-    return _mean_alpha(G, range(1 << G.n), "exact")
+    """Exact rational average of alpha(G[W])/n over all 2^n subsets W.
+
+    The mean of alpha(G[W]) is the sum over the ``exact_components`` c of
+    the mean of alpha(G[S]) over the 2^|c| subsets S of c, read from c's
+    subset table, so ``guard`` bounds the largest component, not n.  A
+    loop-free connected G reads its own table, so through n =
+    EXACT_SUBSET_GUARD its exact and Monte-Carlo estimates share one.
+    """
+    n = G.n
+    if n < 1:
+        raise ValueError("graph must have at least one vertex")
+    parts = exact_components(G, guard)
+    if parts is None:
+        raise SizeLimitError(
+            f"exact mode enumerates the 2^|c| subsets of each component c; one exceeds guard {guard}"
+        )
+    top = max(map(int.bit_count, parts), default=0)
+    total = 0  # the mean of alpha(G[W]) times 2^top
+    for c in parts:
+        H = G if c == (1 << n) - 1 else induced_subgraph(G, VertexSet(n, c))
+        total += sum(H._subset_alphas) << (top - H.n)
+    return Estimate(n, "exact", Fraction(total, n << top), None, 1 << n)
 
 
 def alpha_star_star_mc(G: Graph, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> Estimate:
@@ -211,8 +244,9 @@ def alpha_star_star_margin(G: Graph, samples: int = DEFAULT_SAMPLES, seed: int =
     """Check alpha_star_star(G) <= 1/4 + tau - tau^2/3 where alpha_bar = 1/4 + tau.
 
     Requires 0 < tau < 1/4 (raises ValueError otherwise).  The estimate is
-    exact for n <= EXACT_SUBSET_GUARD; otherwise the Monte-Carlo estimate must stay
-    below the bound plus three standard errors.
+    exact when every component fits ``exact_components``' guard; otherwise
+    the Monte-Carlo estimate must stay below the bound plus three standard
+    errors.
     """
     res = max_independent_set(G)
     tau = res.alpha_bar - Fraction(1, 4)
@@ -221,10 +255,10 @@ def alpha_star_star_margin(G: Graph, samples: int = DEFAULT_SAMPLES, seed: int =
             f"independence ratio {res.alpha_bar} out of range: need 1/4 < alpha_bar < 1/2"
         )
     bound = Fraction(1, 4) + tau - tau * tau / 3
-    if G.n <= EXACT_SUBSET_GUARD:
-        est = alpha_star_star_exact(G)
-    else:
+    if exact_components(G) is None:
         est = alpha_star_star_mc(G, samples, seed)
+    else:
+        est = alpha_star_star_exact(G)
     return MarginReport(**vars(est), alpha_bar=res.alpha_bar, tau=tau, bound=bound)
 
 

@@ -11,7 +11,8 @@ scored each table with a full best response, then with a packed count
 reuses the package's ``best_response``, which it does not test.  The
 hitting-set oracle keeps its own greedy seed (``reference_greedy_hitting``,
 which recounts the unhit sets each round) and packing bound over lists of
-unhit sets.  ``reference_gnp`` draws G(n, p) one scalar ``chance`` per
+unhit sets.  ``dp_alpha_star_star`` averages one whole-graph subset
+table, where the package splits G into components.  ``reference_gnp`` draws G(n, p) one scalar ``chance`` per
 pair, as ``random_gnp`` did before it drew a row of coins per pass.
 """
 
@@ -101,6 +102,21 @@ def brute_alpha_star_star(G: Graph) -> Fraction:
                 best = sub.bit_count()
         total += best
     return Fraction(total, (1 << G.n) * G.n)
+
+
+def dp_alpha_star_star(G: Graph) -> Fraction:
+    """The random-subset average from one subset DP over the whole graph,
+    removing each mask's highest vertex: drop it, or take it (if unlooped)
+    and drop its neighbours."""
+    table = [0] * (1 << G.n)
+    for mask in range(1, 1 << G.n):
+        v = mask.bit_length() - 1
+        rest = mask ^ (1 << v)
+        best = table[rest]
+        if not G.has_loop(v):
+            best = max(best, 1 + table[rest & ~G.adj[v]])
+        table[mask] = best
+    return Fraction(sum(table), G.n << G.n)
 
 
 def maximal_intersecting_families(n: int) -> set[int]:

@@ -244,16 +244,33 @@ def test_subgraph_alphastarstar_seed_and_samples_need_mc():
     assert status == 0 and records[0]["values"]["samples"] == 7 and records[0]["seed"] == 3
 
 
-def test_t16_reads_seed_and_samples_only_past_the_exact_size(capsys):
-    # through n = 15 the margin is exact and reads neither flag
+def test_t16_reads_seed_and_samples_only_past_the_exact_size(capsys, tmp_path):
+    # while every loop-free component has at most 15 vertices the margin is
+    # exact and reads neither flag
     t16 = ["subgraph", "t16", "--construct"]
     assert run_capture(t16 + ["gnp:14,0.62,19", "--seed", "4"]) == (2, [])
-    assert "read only past 15 vertices" in capsys.readouterr().err
+    assert "read only when a loop-free component has more than 15 vertices" in capsys.readouterr().err
     assert run_capture(t16 + ["gnp:16,0.5,1"]) == (2, [])
     assert "--seed is required" in capsys.readouterr().err
     status, records = run_capture(t16 + ["gnp:16,0.5,1", "--seed", "1"])
     assert status == 0 and records[0]["values"]["mode"] == "monte_carlo"
     assert records[0]["seed"] == 1
+    # one edge and four K4s: 18 vertices, components of at most 4
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    union = make_graph(18, [(0, 1)] + [(2 + 4 * b + i, 2 + 4 * b + j) for b in range(4) for i, j in k4])
+    gpath = tmp_path / "union.txt"
+    gpath.write_text(write_graph_text(union))
+    t16 = ["subgraph", "t16", "--graph", str(gpath)]
+    for extra in (["--seed", "4"], ["--samples", "7"]):
+        assert run_capture(t16 + extra) == (2, []), extra
+        assert "read only when" in capsys.readouterr().err
+    status, records = run_capture(t16)
+    values = records[0]["values"]
+    assert status == 0 and records[0]["seed"] is None
+    assert (values["mode"], values["estimate"], values["bound"], values["pass"]) == (
+        "exact", "1/4", "1079/3888", True)
+    status, records = run_capture(["subgraph", "alphastarstar", "--graph", str(gpath)])
+    assert status == 0 and records[0]["values"]["estimate"] == "1/4"
 
 
 def test_partition_bound_has_no_hats_flag(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hatlab import random_subgraphs
 from hatlab.acceptance import MARGIN_CORPUS, _edge_k4_union
 from hatlab.bits import iter_bits
-from hatlab.constructions import random_gnp
+from hatlab.constructions import kneser_hypercube, random_gnp
 from hatlab.errors import SizeLimitError
 from hatlab.graph_core import (
     VertexSet,
@@ -25,6 +25,7 @@ from hatlab.random_subgraphs import (
     alpha_star_star_exact,
     alpha_star_star_margin,
     alpha_star_star_mc,
+    exact_components,
     hajnal_check,
     partition_bound_eval,
     removal_trace,
@@ -32,7 +33,7 @@ from hatlab.random_subgraphs import (
 
 from hatlab.rng import coin_mask, randrange
 
-from oracles import brute_alpha, brute_alpha_star_star
+from oracles import brute_alpha, brute_alpha_star_star, dp_alpha_star_star
 
 C5 = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
 SINGLE_EDGE = make_graph(2, [(0, 1)])
@@ -61,10 +62,47 @@ def test_exact_matches_independent_oracle():
 
 
 def test_exact_guard():
+    # the guard bounds the largest loop-free component, not n
+    G = random_gnp(16, 0.9, seed=1)
+    assert exact_components(G) is None and exact_components(G, guard=16) == [(1 << 16) - 1]
     with pytest.raises(SizeLimitError):
-        alpha_star_star_exact(random_gnp(16, 0.1, seed=1))
+        alpha_star_star_exact(G)
     # overridable
-    assert alpha_star_star_exact(random_gnp(16, 0.9, seed=1), guard=16).estimate > 0
+    assert alpha_star_star_exact(G, guard=16).estimate == dp_alpha_star_star(G)
+    sparse = random_gnp(16, 0.1, seed=1)
+    assert alpha_star_star_exact(sparse).estimate == dp_alpha_star_star(sparse)
+    with pytest.raises(SizeLimitError):
+        alpha_star_star_exact(sparse, guard=max(map(int.bit_count, exact_components(sparse))) - 1)
+
+
+@pytest.mark.parametrize("edges, k4s", ((0, 4), (3, 3), (4, 3)))
+def test_exact_edge_k4_unions_past_the_table_match_dp_oracle(edges, k4s):
+    G = _edge_k4_union(edges, k4s, seed=edges + 10 * k4s)
+    assert G.n > EXACT_SUBSET_GUARD
+    assert alpha_star_star_exact(G).estimate == dp_alpha_star_star(G)
+
+
+def test_exact_takes_components_on_the_loop_free_part():
+    # K(4): the all-ones word's one neighbour is the looped all-zero word,
+    # so the loop-free part splits 14 + 1
+    K = kneser_hypercube(4)
+    assert sorted(map(int.bit_count, exact_components(K))) == [1, 14]
+    assert alpha_star_star_exact(K).estimate == dp_alpha_star_star(K)
+    # two 8-vertex blocks (a cycle and chords) joined only through a looped vertex
+    block = [(v, (v + 1) % 8) for v in range(8)] + random_gnp(8, 0.4, seed=3).edges()
+    edges = block + [(u + 8, v + 8) for u, v in block] + [(16, 16), (16, 0), (16, 8)]
+    G = make_graph(17, edges)
+    assert exact_components(G) == [0xFF, 0xFF00]
+    assert alpha_star_star_exact(G).estimate == dp_alpha_star_star(G)
+    # every vertex looped: no component, alpha(G[W]) = 0
+    assert alpha_star_star_exact(make_graph(20, [(v, v) for v in range(20)])).estimate == 0
+
+
+def test_exact_on_thousands_of_components():
+    n = 4096
+    assert alpha_star_star_exact(make_graph(n, [])).estimate == Fraction(1, 2)
+    res = alpha_star_star_exact(make_graph(n, [(v, v + 1) for v in range(0, n, 2)]))
+    assert (res.estimate, res.samples) == (Fraction(3, 8), 1 << n)
 
 
 def test_subset_table_dies_with_its_graph():
@@ -215,11 +253,17 @@ def test_margin_rejects_high_ratio():
 
 
 def test_margin_mc_mode_for_large_graphs():
-    # one edge plus four K4 blocks: n=18, alpha=5, tau=1/36
+    # one edge plus four K4 blocks: n=18, alpha=5, tau=1/36, each component
+    # within the exact guard
     G = make_graph(18, [(0, 1)] + k4_block(2) + k4_block(6) + k4_block(10) + k4_block(14))
     rep = alpha_star_star_margin(G, samples=400, seed=11)
-    assert rep.mode == "monte_carlo"
     assert rep.alpha_bar == Fraction(5, 18) and rep.tau == Fraction(1, 36)
+    assert (rep.mode, rep.estimate, rep.samples) == ("exact", Fraction(1, 4), 1 << 18)
+    assert rep.passed
+    # a connected graph past the guard is sampled
+    G = random_gnp(16, 0.5, seed=1)
+    rep = alpha_star_star_margin(G, samples=400, seed=11)
+    assert (rep.mode, rep.samples, rep.alpha_bar) == ("monte_carlo", 400, Fraction(5, 16))
     assert rep.passed
 
 
@@ -380,10 +424,23 @@ def test_component_memo_matches_whole_graph_searches(name):
     assert res == reference_estimate(G, unions, "monte_carlo")
 
 
-# check 12's corpus: (mode, estimate, stderr) of each report, captured while
-# every Monte-Carlo sample was one whole-graph search
+@pytest.mark.parametrize("blocks, loops", (
+    ((15,), ()), ((9,), (2,)), ((3, 4, 5), ()), ((1, 1, 6), (1,)), ((2, 2, 2, 2, 7), (0, 5, 14)),
+))
+def test_exact_per_component_matches_whole_graph_oracles(blocks, loops):
+    # connected, disconnected and looped graphs of at most 15 vertices: the
+    # value is the one the whole-graph table gave, bit for bit
+    G = shuffled_union(blocks, loops, seed=len(blocks))
+    est = alpha_star_star_exact(G)
+    assert (est.mode, est.samples, est.stderr) == ("exact", 1 << G.n, None)
+    assert est.estimate == dp_alpha_star_star(G)
+    if G.n <= 10:
+        assert est.estimate == brute_alpha_star_star(G)
+
+
+# check 12's corpus: (mode, estimate, stderr) of each report, all exact
 MARGIN_PINS = (
-    ("monte_carlo", 0.24811111111111112, 0.000935279516634638),
+    ("exact", Fraction(1, 4), None),
     ("exact", Fraction(57, 224), None),
     ("exact", Fraction(21, 80), None),
     ("exact", Fraction(9, 32), None),
@@ -391,18 +448,18 @@ MARGIN_PINS = (
     ("exact", Fraction(51, 160), None),
     ("exact", Fraction(21, 64), None),
     ("exact", Fraction(75, 224), None),
-    ("monte_carlo", 0.3433333333333333, 0.001727071380711604),
-    ("monte_carlo", 0.34936666666666666, 0.0015420715230864408),
-    ("monte_carlo", 0.2680416666666667, 0.0012378546983865648),
+    ("exact", Fraction(87, 256), None),
+    ("exact", Fraction(111, 320), None),
+    ("exact", Fraction(69, 256), None),
     ("exact", Fraction(33, 112), None),
     ("exact", Fraction(9, 32), None),
-    ("monte_carlo", 0.304, 0.0014948488380766573),
-    ("monte_carlo", 0.31322222222222224, 0.0014560145867177404),
-    ("monte_carlo", 0.28244444444444444, 0.0012506108890860885),
-    ("monte_carlo", 0.3427777777777778, 0.001662543595099038),
-    ("monte_carlo", 0.31793333333333335, 0.0014008786171039822),
-    ("monte_carlo", 0.2901, 0.001228865812542037),
-    ("monte_carlo", 0.29693939393939395, 0.0012340832368887607),
+    ("exact", Fraction(39, 128), None),
+    ("exact", Fraction(5, 16), None),
+    ("exact", Fraction(9, 32), None),
+    ("exact", Fraction(11, 32), None),
+    ("exact", Fraction(51, 160), None),
+    ("exact", Fraction(93, 320), None),
+    ("exact", Fraction(105, 352), None),
 )
 
 
@@ -412,16 +469,17 @@ def margin_corpus():
 
 
 def test_margin_corpus_reports_pinned():
-    reports = []
-    for _, G, seed in margin_corpus():
+    reports, slack = [], {}
+    for ab, G, seed in margin_corpus():
         rep = alpha_star_star_margin(G, samples=1500, seed=seed)
         reports.append((rep.mode, rep.estimate, rep.stderr))
+        slack[ab] = rep.bound - rep.estimate
     assert reports == list(MARGIN_PINS)
+    assert min(slack.values()) == slack[1, 4] == Fraction(107, 3888)
 
 
-def test_margin_corpus_searches_each_component_subset_once(monkeypatch):
-    # 1500 samples draw every subset of an edge (2^2) and of a K4 (2^4), and
-    # each is searched once; a whole-graph memo searched 16,433 distinct W
+def test_margin_corpus_reads_component_tables_without_search(monkeypatch):
+    # each row reads the subset tables of its edges and K4s and runs no search
     calls = []
 
     def spy(G, W):
@@ -429,11 +487,6 @@ def test_margin_corpus_searches_each_component_subset_once(monkeypatch):
         return subset_alpha(G, W)
 
     monkeypatch.setattr(random_subgraphs, "subset_alpha", spy)
-    searched = {}
-    for (a, b), G, seed in margin_corpus():
-        before = len(calls)
-        alpha_star_star_margin(G, samples=1500, seed=seed)
-        searched[a, b] = len(calls) - before
-        assert searched[a, b] == (0 if G.n <= EXACT_SUBSET_GUARD else 4 * a + 16 * b)
-    assert searched[8, 1] == 48
-    assert len(calls) == 604
+    for _, G, seed in margin_corpus():
+        assert alpha_star_star_margin(G, samples=1500, seed=seed).mode == "exact"
+    assert calls == []
